@@ -16,6 +16,7 @@ use coopckpt::prelude::*;
 use coopckpt_des::{EventQueue, Time as DesTime};
 use coopckpt_failure::{FailureTrace, Xoshiro256pp};
 use coopckpt_io::{LinearShare, Pfs};
+use coopckpt_sched::{AllocId, NodePool};
 use coopckpt_theory::{lower_bound, ClassParams};
 
 /// DES kernel: schedule + drain a large batch of events.
@@ -141,6 +142,60 @@ fn bench_failure_trace(c: &mut Criterion) {
                 DesTime::from_secs(Duration::from_days(60.0).as_secs()),
             );
             black_box(trace.len())
+        });
+    });
+}
+
+/// Node pool under APEX-class churn on the `exascale` preset's 12,655
+/// nodes: fill the machine with jobs drawn by resource share, then
+/// alternate failures (the struck node's occupant is released and
+/// re-granted at once, as a head-priority restart) with completions
+/// (a random job leaves and a fresh one takes its place if it fits).
+/// Informational: no tracked baseline.
+fn bench_alloc_release_exascale(c: &mut Criterion) {
+    let platform = coopckpt_workload::exascale();
+    let classes = coopckpt_workload::classes_for(&platform);
+    let draw_class = |rng: &mut Xoshiro256pp| {
+        let mut u = rng.next_f64();
+        for class in &classes {
+            u -= class.resource_share;
+            if u < 0.0 {
+                return class.q_nodes;
+            }
+        }
+        classes.last().expect("APEX has classes").q_nodes
+    };
+    c.bench_function("sched/alloc_release_exascale", |b| {
+        b.iter(|| {
+            let mut rng = Xoshiro256pp::seed_from_u64(11);
+            let mut pool = NodePool::new(platform.nodes);
+            let mut live: Vec<(AllocId, usize)> = Vec::new();
+            loop {
+                let q = draw_class(&mut rng);
+                let Some(id) = pool.allocate(q) else { break };
+                live.push((id, q));
+            }
+            for step in 0..2_000 {
+                if step % 2 == 0 {
+                    let node = rng.next_bounded(platform.nodes as u64) as usize;
+                    let Some(victim) = pool.occupant(node) else {
+                        continue;
+                    };
+                    let slot = live.iter().position(|&(id, _)| id == victim);
+                    let (_, q) = live.swap_remove(slot.expect("occupant is live"));
+                    pool.release(victim);
+                    let restarted = pool.allocate(q).expect("a restart fits its own nodes");
+                    live.push((restarted, q));
+                } else if !live.is_empty() {
+                    let slot = rng.next_bounded(live.len() as u64) as usize;
+                    pool.release(live.swap_remove(slot).0);
+                    let q = draw_class(&mut rng);
+                    if let Some(id) = pool.allocate(q) {
+                        live.push((id, q));
+                    }
+                }
+            }
+            black_box(pool.free_count())
         });
     });
 }
@@ -308,6 +363,7 @@ criterion_group!(
     bench_pfs,
     bench_lambda_solver,
     bench_failure_trace,
+    bench_alloc_release_exascale,
     bench_end_to_end,
     bench_trace_stream,
     bench_campaign,

@@ -853,6 +853,7 @@ pub fn workload(args: &Args) -> CmdResult {
     }
     let platform = sc.resolve_platform()?;
     let classes = sc.resolve_classes(&platform)?;
+    coopckpt::scenario::check_generated_span(&classes, &platform, sc.span)?;
     let spec = WorkloadSpec::new(classes.clone()).with_min_span(sc.span);
     let mut rng = Xoshiro256pp::seed_from_u64(sc.seed);
     let jobs = spec.generate(&platform, &mut rng);
@@ -913,6 +914,20 @@ mod tests {
         let cfg = sc.into_config().unwrap();
         assert_eq!(cfg.platform.name, "Cielo");
         assert_eq!(cfg.span, Duration::from_days(14.0));
+    }
+
+    #[test]
+    fn absurd_span_days_is_an_error_not_a_panic() {
+        for cmd in ["run", "trace", "workload"] {
+            let a = args(&[cmd, "--span-days", "1e9", "--samples", "1"]);
+            let run = match cmd {
+                "run" => run,
+                "trace" => trace,
+                _ => workload,
+            };
+            let e = run(&a).expect_err(cmd).to_string();
+            assert!(e.contains("span_days"), "{cmd}: {e}");
+        }
     }
 
     #[test]

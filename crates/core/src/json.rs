@@ -28,6 +28,9 @@
 
 use std::fmt;
 
+/// 2^53: every integer up to this magnitude is exact in an `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -124,9 +127,7 @@ impl Json {
     /// anything above 2^53, where `f64` stops being exact).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT => Some(*n as u64),
             _ => None,
         }
     }
@@ -204,7 +205,16 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 assert!(n.is_finite(), "JSON cannot represent {n}");
-                out.push_str(&format!("{n}"));
+                // Plain digits of an integral value past 2^53 are rounded
+                // (`1e20` prints as `100000000000000000000`, but
+                // `2^64` as `18446744073709552000`), and the parser
+                // rejects integer literals it cannot hold exactly; the
+                // exponent form round-trips.
+                if n.fract() == 0.0 && n.abs() > MAX_EXACT_INT {
+                    out.push_str(&format!("{n:e}"));
+                } else {
+                    out.push_str(&format!("{n}"));
+                }
             }
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
@@ -527,6 +537,7 @@ impl<'a> Parser<'a> {
             }
             _ => return Err(self.err("invalid number")),
         }
+        let integer = self.pos;
         // Fraction.
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -556,6 +567,16 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err(format!("cannot parse number '{text}'")))?;
         if !n.is_finite() {
             return Err(self.err(format!("number '{text}' overflows f64")));
+        }
+        // An integer literal must come out exact: 9007199254740993 would
+        // otherwise read as 2^53, silently aliasing a distinct value. Up
+        // to 15 digits every integer is below 2^53, hence exact.
+        let is_integer = self.pos == integer;
+        if is_integer && integer - start > 15 && format!("{n:.0}") != text {
+            return Err(self.err(format!(
+                "integer {text} is not exactly representable as a JSON number; \
+                 quote it as a string (\"{text}\")"
+            )));
         }
         Ok(Json::Num(n))
     }
@@ -656,6 +677,34 @@ mod tests {
             let text = Json::Num(n).to_string();
             let back = Json::parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), n.to_bits(), "{n} via {text}");
+        }
+    }
+
+    #[test]
+    fn inexact_integer_literals_are_rejected() {
+        for bad in [
+            "9007199254740993",
+            "-9007199254740993",
+            "100000000000000001",
+        ] {
+            let e = Json::parse(bad).unwrap_err();
+            assert!(e.message.contains("quote it as a string"), "{bad}: {e}");
+        }
+        // Exact integers parse at any size, and fractions and exponents
+        // keep their usual nearest-f64 reading.
+        for (ok, n) in [
+            ("9007199254740992", 9_007_199_254_740_992.0),
+            ("9007199254740994", 9_007_199_254_740_994.0),
+            ("18446744073709551616", 18_446_744_073_709_551_616.0),
+            ("9007199254740993.0", 9_007_199_254_740_992.0),
+            ("9.007199254740993e15", 9_007_199_254_740_992.0),
+        ] {
+            assert_eq!(Json::parse(ok).unwrap(), Json::Num(n), "{ok}");
+        }
+        // The serializer never emits a rounded integer literal.
+        for n in [2f64.powi(64), f64::MAX, -1e300] {
+            let text = Json::Num(n).to_string();
+            assert_eq!(Json::parse(&text).unwrap(), Json::Num(n), "{text}");
         }
     }
 

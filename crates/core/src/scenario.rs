@@ -45,6 +45,7 @@ use crate::sim::{
 use crate::strategy::Strategy;
 use coopckpt_des::Duration;
 use coopckpt_model::{AppClass, Bandwidth, Bytes, Platform};
+use coopckpt_workload::generator::WorkloadSpec;
 use coopckpt_workload::trace_workload::{TraceClasses, TraceSpec};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -145,6 +146,56 @@ pub enum WorkloadSource {
 /// (typos, hostile files) are rejected instead of allocating per-level
 /// state.
 pub const MAX_TIER_DEPTH: usize = 16;
+
+/// Most failures a scenario's span may draw. The failure trace is drawn
+/// up front, one entry per failure, so a span far past this (a typo such
+/// as `1e9` days) would exhaust memory before the first event.
+pub const MAX_SPAN_FAILURES: f64 = 1e7;
+
+/// Rejects a span whose up-front draws — the failure trace and, for a
+/// generated workload, the job list — would not fit their bounds.
+fn check_span_size(config: &SimConfig) -> Result<(), ScenarioError> {
+    if config.failures != FailureModel::None {
+        let failures = config.span.as_secs() / config.platform.system_mtbf().as_secs();
+        if failures > MAX_SPAN_FAILURES {
+            return Err(ScenarioError::invalid(
+                "span_days",
+                format!(
+                    "{:e} days draw ~{failures:.2e} failures, more than the \
+                     {MAX_SPAN_FAILURES:e} limit; shorten the span",
+                    config.span.as_days()
+                ),
+            ));
+        }
+    }
+    if config.workload_source.is_none() {
+        let min_span = config.span * config.workload_slack.max(1.0);
+        check_generated_span(&config.classes, &config.platform, min_span)?;
+    }
+    Ok(())
+}
+
+/// Rejects a span that [`WorkloadSpec::generate`] cannot fill with
+/// `classes` within [`WorkloadSpec::MAX_JOBS`] jobs.
+pub fn check_generated_span(
+    classes: &[AppClass],
+    platform: &Platform,
+    span: Duration,
+) -> Result<(), ScenarioError> {
+    let jobs = WorkloadSpec::projected_jobs(classes, platform, span);
+    if jobs > WorkloadSpec::MAX_JOBS as f64 {
+        return Err(ScenarioError::invalid(
+            "span_days",
+            format!(
+                "{:e} days need ~{jobs:.2e} generated jobs, more than the {} limit; \
+                 shorten the span",
+                span.as_days(),
+                WorkloadSpec::MAX_JOBS
+            ),
+        ));
+    }
+    Ok(())
+}
 
 /// The checkpoint storage hierarchy.
 #[derive(Debug, Clone, PartialEq)]
@@ -616,6 +667,7 @@ impl Scenario {
                 .map_err(|e| ScenarioError::invalid("power", e))?;
             config = config.with_power(power);
         }
+        check_span_size(&config)?;
         Ok(config)
     }
 
@@ -1833,6 +1885,32 @@ mod tests {
     }
 
     #[test]
+    fn absurd_spans_are_rejected_at_config_time() {
+        let span_error = |doc: &str| match Scenario::parse(doc).unwrap().into_config() {
+            Err(ScenarioError::Invalid { field, message }) => {
+                assert_eq!(field, "span_days", "{doc}: {message}");
+                message
+            }
+            other => panic!("{doc}: expected a span_days error, got {other:?}"),
+        };
+        // The failure trace is drawn up front...
+        let m = span_error(r#"{"span_days": 1e9}"#);
+        assert!(m.contains("failures"), "{m}");
+        // ...and so is the generated job list.
+        let m = span_error(r#"{"span_days": 1e9, "failures": "none"}"#);
+        assert!(m.contains("generated jobs"), "{m}");
+        let tiny_jobs = r#"{"failures": "none", "workload": {"classes": [{"name": "t",
+            "q_nodes": 1, "walltime_secs": 1, "resource_share": 1, "input_gb": 0,
+            "output_gb": 0, "ckpt_gb": 0}]}}"#;
+        let m = span_error(tiny_jobs);
+        assert!(m.contains("generated jobs"), "{m}");
+        assert!(Scenario::parse(r#"{"span_days": 365}"#)
+            .unwrap()
+            .into_config()
+            .is_ok());
+    }
+
+    #[test]
     fn explicit_tiers_and_burst_buffer_parse() {
         let sc = Scenario::parse(
             r#"{
@@ -2015,6 +2093,17 @@ mod tests {
         assert!(sc.to_json_string().contains("\"seed\": 42"));
         // Garbage seed strings are rejected.
         assert!(Scenario::parse(r#"{"seed": "not-a-number"}"#).is_err());
+    }
+
+    #[test]
+    fn seeds_past_2_pow_53_must_be_quoted() {
+        let e = Scenario::parse(r#"{"seed": 9007199254740993}"#).unwrap_err();
+        assert!(e.to_string().contains("quote it as a string"), "{e}");
+        let quoted = Scenario::parse(r#"{"seed": "9007199254740993"}"#).unwrap();
+        let bare = Scenario::parse(r#"{"seed": 9007199254740992}"#).unwrap();
+        assert_eq!(quoted.seed, 9_007_199_254_740_993);
+        assert_eq!(bare.seed, 1 << 53);
+        assert_ne!(quoted.to_json_string(), bare.to_json_string());
     }
 
     #[test]

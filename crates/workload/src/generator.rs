@@ -15,6 +15,9 @@ use coopckpt_des::Duration;
 use coopckpt_failure::{Sample, Uniform, Xoshiro256pp};
 use coopckpt_model::{AppClass, ClassId, JobId, JobSpec, Platform};
 
+/// The paper's work-duration jitter: `[0.8 w, 1.2 w]`.
+const DEFAULT_JITTER: (f64, f64) = (0.8, 1.2);
+
 /// Parameters of the workload generator.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
@@ -30,6 +33,25 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
+    /// Most jobs [`generate`](Self::generate) drafts before it gives up.
+    pub const MAX_JOBS: u64 = 1_000_000;
+
+    /// An upper estimate of the number of jobs a spec built by
+    /// [`new`](Self::new) over `classes` drafts to fill `span` on
+    /// `platform`: each class's share of the node-time, filled with jobs
+    /// that all draw the shortest jitter. It takes the classes unchecked,
+    /// so outside input can be bounded before `new` validates it.
+    pub fn projected_jobs(classes: &[AppClass], platform: &Platform, span: Duration) -> f64 {
+        let target_node_seconds = platform.nodes as f64 * span.as_secs();
+        classes
+            .iter()
+            .map(|c| {
+                c.resource_share * target_node_seconds
+                    / (c.q_nodes as f64 * c.walltime.as_secs() * DEFAULT_JITTER.0)
+            })
+            .sum()
+    }
+
     /// Creates a spec with the paper's defaults: 60-day span, 0.8–1.2×
     /// jitter, 1 % share tolerance.
     ///
@@ -46,7 +68,7 @@ impl WorkloadSpec {
         WorkloadSpec {
             classes,
             min_span: Duration::from_days(60.0),
-            jitter: (0.8, 1.2),
+            jitter: DEFAULT_JITTER,
             share_tolerance: 0.01,
         }
     }
@@ -67,6 +89,12 @@ impl WorkloadSpec {
 
     /// Generates one workload instance: a shuffled list of jobs whose
     /// priorities equal their position in the shuffle.
+    ///
+    /// # Panics
+    ///
+    /// Panics after drafting [`MAX_JOBS`](Self::MAX_JOBS) jobs without
+    /// converging; bound [`projected_jobs`](Self::projected_jobs) first
+    /// when the span comes from outside input.
     pub fn generate(&self, platform: &Platform, rng: &mut Xoshiro256pp) -> Vec<JobSpec> {
         let target_node_seconds = platform.nodes as f64 * self.min_span.as_secs();
         let n_classes = self.classes.len();
@@ -81,7 +109,7 @@ impl WorkloadSpec {
         let mut drafts: Vec<(usize, Duration)> = Vec::new();
         for iteration in 0u64.. {
             assert!(
-                iteration < 1_000_000,
+                iteration < Self::MAX_JOBS,
                 "workload generation failed to converge (tolerance too tight \
                  for the job granularity?)"
             );
