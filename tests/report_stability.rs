@@ -6,10 +6,11 @@
 //!   (and, within a run, per-failure-class) RNG streams, so worker count
 //!   can never leak into results.
 //! * **Golden files** — the rendered text/CSV/JSON `Report` output of two
-//!   checked-in `scenarios/` presets is itself checked in under
-//!   `tests/golden/` and compared byte for byte, so format drift (added
-//!   columns, reordered sections, float-precision changes) is caught in
-//!   review instead of silently shipped. After an *intentional* format
+//!   checked-in `scenarios/` presets, and of one small sweep per sweep
+//!   axis, is itself checked in under `tests/golden/` and compared byte
+//!   for byte, so format drift (added columns, reordered sections,
+//!   float-precision changes) is caught in review instead of silently
+//!   shipped. After an *intentional* format
 //!   change, refresh with:
 //!
 //!   ```sh
@@ -92,7 +93,13 @@ fn campaign_pool_never_changes_the_report_either() {
 /// rendered report against its golden files.
 fn check_golden(preset: &str) {
     let sc = Scenario::load(preset_path(preset)).expect("preset loads");
-    let report = run_scenario(&sc).expect("preset runs");
+    check_golden_scenario(preset, &sc);
+}
+
+/// Runs `sc` and compares its rendered report against the golden files
+/// `tests/golden/<name>.{txt,csv,json}`.
+fn check_golden_scenario(name: &str, sc: &Scenario) {
+    let report = run_scenario(sc).expect("scenario runs");
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let bless = std::env::var("COOPCKPT_BLESS").is_ok_and(|v| !v.is_empty() && v != "0");
     for (ext, rendered) in [
@@ -100,7 +107,7 @@ fn check_golden(preset: &str) {
         ("csv", report.to_csv()),
         ("json", report.to_json().pretty() + "\n"),
     ] {
-        let path = dir.join(format!("{preset}.{ext}"));
+        let path = dir.join(format!("{name}.{ext}"));
         if bless {
             std::fs::create_dir_all(&dir).expect("golden dir");
             std::fs::write(&path, &rendered).expect("write golden");
@@ -115,7 +122,7 @@ fn check_golden(preset: &str) {
         });
         assert_eq!(
             rendered, expected,
-            "{preset}.{ext} drifted from its golden file — if the format \
+            "{name}.{ext} drifted from its golden file — if the format \
              change is intentional, re-bless with COOPCKPT_BLESS=1"
         );
     }
@@ -174,4 +181,96 @@ fn golden_report_custom_lab() {
 #[test]
 fn golden_report_multilevel_recovery() {
     check_golden("multilevel_recovery");
+}
+
+// ----- sweep goldens: one per sweep axis ---------------------------------
+//
+// Small sweeps (2 samples, 2-3 days) pinning the whole sweep path: the
+// roster per axis, the Theorem-1 bound rows, the energy metric on the
+// power-ratio axis, and the report notes.
+
+#[test]
+fn golden_sweep_bandwidth() {
+    let sc = Scenario::load(preset_path("apex_workload")).expect("preset loads");
+    check_golden_scenario("sweep_bandwidth", &sc);
+}
+
+#[test]
+fn golden_sweep_ckpt_mem_fraction() {
+    let sc = Scenario::load(preset_path("ckpt_mem_fraction")).expect("preset loads");
+    check_golden_scenario("sweep_ckpt_mem_fraction", &sc);
+}
+
+fn inline_sweep(doc: &str) -> Scenario {
+    Scenario::parse(doc).expect("inline sweep scenario parses")
+}
+
+#[test]
+fn golden_sweep_mtbf() {
+    // The power model pins the "power model ignored" note.
+    check_golden_scenario(
+        "sweep_mtbf",
+        &inline_sweep(
+            r#"{"name": "sweep-mtbf", "platform": {"preset": "cielo", "bandwidth_gbps": 40},
+                "power": "cielo", "span_days": 2, "samples": 2, "seed": 1,
+                "sweep": {"axis": "mtbf", "values": [2, 20]}}"#,
+        ),
+    );
+}
+
+#[test]
+fn golden_sweep_tiers() {
+    check_golden_scenario(
+        "sweep_tiers",
+        &inline_sweep(
+            r#"{"name": "sweep-tiers", "platform": {"preset": "cielo", "bandwidth_gbps": 40},
+                "span_days": 2, "samples": 2, "seed": 1,
+                "sweep": {"axis": "tiers", "values": [0, 2]}}"#,
+        ),
+    );
+}
+
+#[test]
+fn golden_sweep_weibull_shape() {
+    check_golden_scenario(
+        "sweep_weibull_shape",
+        &inline_sweep(
+            r#"{"name": "sweep-weibull-shape",
+                "platform": {"preset": "cielo", "bandwidth_gbps": 40},
+                "span_days": 2, "samples": 2, "seed": 1,
+                "sweep": {"axis": "weibull-shape", "values": [0.7, 1.5]}}"#,
+        ),
+    );
+}
+
+#[test]
+fn golden_sweep_power_ratio() {
+    check_golden_scenario(
+        "sweep_power_ratio",
+        &inline_sweep(
+            r#"{"name": "sweep-power-ratio",
+                "platform": {"preset": "cielo", "bandwidth_gbps": 40}, "power": "cielo",
+                "span_days": 2, "samples": 2, "seed": 1,
+                "sweep": {"axis": "power-ratio", "values": [0.5, 2]}}"#,
+        ),
+    );
+}
+
+#[test]
+fn golden_sweep_local_failure_share() {
+    // A tiered base, so local restores have a tier to read from; the
+    // configured class mix pins the "failure_classes ignored" note.
+    check_golden_scenario(
+        "sweep_local_failure_share",
+        &inline_sweep(
+            r#"{"name": "sweep-local-failure-share",
+                "platform": {"preset": "cielo", "bandwidth_gbps": 40}, "tiers": 2,
+                "failure_classes": [
+                    {"name": "node", "share": 0.5, "severity": 1},
+                    {"name": "system", "share": 0.5, "severity": "system"}
+                ],
+                "span_days": 2, "samples": 2, "seed": 1,
+                "sweep": {"axis": "local-failure-share", "values": [0, 0.5]}}"#,
+        ),
+    );
 }
