@@ -8,10 +8,10 @@
 //! checkpoint and recovery draws.
 //!
 //! The whole experiment is one declarative [`Scenario`] with a
-//! `power-ratio` sweep axis, executed by the same `run_scenario` front
+//! `power_ratio` sweep axis, executed by the same `run_scenario` front
 //! door as the CLI — the equivalent file is
 //! `{"platform": {"preset": "cielo", "bandwidth_gbps": 40}, "power":
-//! "cielo", "sweep": {"axis": "power-ratio"}}`.
+//! "cielo", "sweep": {"axis": "power_ratio"}}`.
 //!
 //! The run ends with the closed-form check behind the trade-off: the
 //! energy-optimal period `P_E = P_Daly · √(ρ_ckpt/ρ_comp)` falls below
@@ -37,10 +37,7 @@ fn main() {
     let mut scenario = cielo_scenario(40.0, &scale)
         .with_name("ablation-energy")
         .with_power(PowerModel::cielo());
-    scenario.sweep = Some(Sweep {
-        axis: SweepAxis::PowerRatio,
-        values: vec![0.25, 0.5, 1.0, 2.0, 4.0],
-    });
+    scenario.sweep = Some(Axis::PowerRatio(vec![0.25, 0.5, 1.0, 2.0, 4.0]));
     let report = run_scenario(&scenario).expect("bench scenario is valid");
     emit_report(&report);
 

@@ -35,10 +35,7 @@ fn main() {
     );
 
     let mut scenario = cielo_scenario(40.0, &scale).with_name("ablation-multilevel");
-    scenario.sweep = Some(Sweep {
-        axis: SweepAxis::Tiers,
-        values: vec![0.0, 1.0, 2.0, 3.0],
-    });
+    scenario.sweep = Some(Axis::Tiers(vec![0, 1, 2, 3]));
     let report = run_scenario(&scenario).expect("bench scenario is valid");
     emit_report(&report);
 

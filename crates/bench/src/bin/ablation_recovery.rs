@@ -10,10 +10,10 @@
 //! local share grows; `x = 0` is the paper's single-class model.
 //!
 //! The whole experiment is one declarative [`Scenario`] with a
-//! `local-failure-share` sweep axis, executed by the same `run_scenario`
+//! `local_failure_share` sweep axis, executed by the same `run_scenario`
 //! front door as the CLI — the equivalent file is
 //! `{"platform": {"preset": "cielo", "bandwidth_gbps": 40}, "tiers": 3,
-//! "sweep": {"axis": "local-failure-share"}}`.
+//! "sweep": {"axis": "local_failure_share"}}`.
 //!
 //! The run ends with the closed forms behind the sweep: per-class restore
 //! costs on the tier stack, the expected restore cost of the class mix,
@@ -40,10 +40,7 @@ fn main() {
     let mut scenario = cielo_scenario(40.0, &scale)
         .with_name("ablation-recovery")
         .with_tier_depth(3);
-    scenario.sweep = Some(Sweep {
-        axis: SweepAxis::LocalFailureShare,
-        values: vec![0.0, 0.25, 0.5, 0.75, 0.9],
-    });
+    scenario.sweep = Some(Axis::LocalFailureShare(vec![0.0, 0.25, 0.5, 0.75, 0.9]));
     let report = run_scenario(&scenario).expect("bench scenario is valid");
     emit_report(&report);
 

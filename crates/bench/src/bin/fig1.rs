@@ -2,13 +2,16 @@
 //! system bandwidth (40 → 160 GB/s) for the seven strategies and the
 //! theoretical lower bound; LANL APEX workload on Cielo, 2-year node MTBF.
 //!
+//! The figure is one declarative [`Scenario`] with a `bandwidth_gbps`
+//! sweep, run by the same [`run_scenario`] front door as the CLI.
+//!
 //! ```sh
 //! COOPCKPT_SAMPLES=1000 cargo run --release -p coopckpt-bench --bin fig1 [-- --csv fig1.csv]
 //! ```
 
-use coopckpt::experiments::waste_vs_bandwidth;
+use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, emit, sweep_table, BenchScale};
+use coopckpt_bench::{banner, emit_report, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -17,11 +20,10 @@ fn main() {
         &scale,
     );
 
-    let platform = coopckpt_workload::cielo(); // node MTBF = 2 years
-    let classes = coopckpt_workload::classes_for(&platform);
-    let template = SimConfig::new(platform, classes, Strategy::least_waste()).with_span(scale.span);
-
-    let bandwidths = [40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0];
-    let points = waste_vs_bandwidth(&template, &bandwidths, &Strategy::all_seven(), &scale.mc());
-    emit(&sweep_table("bandwidth_gbps", &points));
+    // The Cielo preset's node MTBF is 2 years.
+    let mut scenario = scale.apply(Scenario::default()).with_name("fig1");
+    scenario.sweep = Some(Axis::BandwidthGbps(vec![
+        40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0,
+    ]));
+    emit_report(&run_scenario(&scenario).expect("figure scenario is valid"));
 }

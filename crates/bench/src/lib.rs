@@ -12,7 +12,6 @@
 //! Results are printed as an aligned table and, when `--csv <path>` is
 //! passed, also written as CSV for plotting.
 
-use coopckpt::experiments::SweepPoint;
 use coopckpt::prelude::*;
 use coopckpt_stats::Table;
 
@@ -71,28 +70,6 @@ fn env_parse<T: std::str::FromStr + Copy>(key: &str, default: T) -> T {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Renders sweep points as the paper's figure data: one row per
-/// `(x, series)` with candlestick columns.
-pub fn sweep_table(x_label: &str, points: &[SweepPoint]) -> Table {
-    let mut t = Table::new([
-        x_label, "series", "mean", "d1", "q1", "median", "q3", "d9", "n",
-    ]);
-    for p in points {
-        t.row([
-            format!("{}", p.x),
-            p.series.clone(),
-            format!("{:.4}", p.stats.mean),
-            format!("{:.4}", p.stats.d1),
-            format!("{:.4}", p.stats.q1),
-            format!("{:.4}", p.stats.median),
-            format!("{:.4}", p.stats.q3),
-            format!("{:.4}", p.stats.d9),
-            format!("{}", p.stats.n),
-        ]);
-    }
-    t
 }
 
 /// Prints the table and honours an optional `--csv <path>` argument.
@@ -156,7 +133,6 @@ pub fn banner(what: &str, scale: &BenchScale) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coopckpt_stats::Candlestick;
 
     #[test]
     fn mc_carries_scale() {
@@ -184,19 +160,5 @@ mod tests {
         let p = sc.resolve_platform().unwrap();
         assert_eq!(p.name, "Cielo");
         assert_eq!(p.pfs_bandwidth, Bandwidth::from_gbps(40.0));
-    }
-
-    #[test]
-    fn sweep_table_layout() {
-        let pts = vec![SweepPoint {
-            x: 40.0,
-            series: "Least-Waste".into(),
-            stats: Candlestick::from_samples(&[0.2, 0.3, 0.4]),
-        }];
-        let t = sweep_table("bandwidth_gbps", &pts);
-        let text = t.to_text();
-        assert!(text.contains("Least-Waste"));
-        assert!(text.contains("bandwidth_gbps"));
-        assert_eq!(t.len(), 1);
     }
 }

@@ -27,7 +27,8 @@ COMMANDS:
   theory      Evaluate the Section-4 lower bound (Theorem 1).
   run         Execute one scenario: Monte-Carlo simulate one strategy at
               one operating point (or the file's sweep, if it has one).
-  sweep       Sweep bandwidth, MTBF or tier depth across strategies.
+  sweep       Sweep one scenario field (an axis: bandwidth, MTBF, tier
+              depth, ...) across all strategies.
   suite       Execute a campaign suite file (many scenarios / a cartesian
               grid) across a thread pool, with an optional resumable
               on-disk result cache.
@@ -79,11 +80,11 @@ EXAMPLES:
   coopckpt run --strategy tiered --tiers 3 --bandwidth 40
   coopckpt run --scenario scenarios/multilevel_recovery.json --format json
   coopckpt run --scenario scenarios/energy_tradeoff.json --format json
-  coopckpt sweep --axis bandwidth --values 40,80,120,160 --samples 50
+  coopckpt sweep --axis bandwidth_gbps --values 40,80,120,160 --samples 50
   coopckpt sweep --axis tiers --values 0,1,2,3 --bandwidth 40
-  coopckpt sweep --axis local-failure-share --tiers 3 --bandwidth 40
-  coopckpt sweep --axis power-ratio --power cielo --values 0.5,1,2,4
-  coopckpt sweep --axis ckpt-mem-fraction --platform exascale
+  coopckpt sweep --axis local_failure_share --tiers 3 --bandwidth 40
+  coopckpt sweep --axis power_ratio --power cielo --values 0.5,1,2,4
+  coopckpt sweep --axis ckpt_mem_fraction --platform exascale
   coopckpt run --workload scenarios/traces/sample_1k.csv --span-days 14
   coopckpt run --workload synthetic:jobs=5000,seed=3 --strategy ordered-nb-daly-usage
   coopckpt suite scenarios/paper_grid.json --cache .campaign --format json
@@ -160,60 +161,64 @@ EXAMPLES:
   coopckpt run --workload synthetic:jobs=5000,projects=12,seed=3
 ";
 
-/// `coopckpt sweep --help`
-pub const SWEEP_HELP: &str = "\
+/// `coopckpt sweep --help` (`{axes}` is replaced by the axis keys).
+const SWEEP_HELP: &str = "\
 coopckpt sweep — sweep one axis across all strategies (figures 1/2 data)
 
 USAGE:
-  coopckpt sweep --axis <axis> [--values a,b,c] [--flag value]...
+  coopckpt sweep --axis <key> [--values a,b,c] [--flag value]...
 
-Simulates every strategy at each point of the swept axis and prints one
+Simulates every strategy at each value of the swept axis and prints one
 row per (x, strategy) with candlestick statistics of the waste ratio.
-The `bandwidth` and `mtbf` axes add the Theorem 1 bound as a
-'Theoretical Model' series; the other axes have no analytic bound. The
-`power-ratio` axis sweeps the checkpoint/compute draw ratio and reports
+The axis keys are the suite grid keys:
+  {axes}
+Every axis but `strategy` can be swept (a sweep already runs the whole
+strategy roster). The `bandwidth_gbps`, `mtbf_years` and
+`ckpt_mem_fraction` axes add the Theorem 1 bound as a 'Theoretical
+Model' series; the other axes have no analytic bound. The `tiers` and
+`local_failure_share` axes add the level-aware Tiered-Daly strategy. The
+`power_ratio` axis sweeps the checkpoint/compute draw ratio and reports
 the *energy* waste ratio (Aupy et al. time-vs-energy trade-off).
 
 FLAGS:
   --scenario <file>    load a scenario file; flags below override fields
-  --axis <name>        bandwidth (GB/s, Fig. 1) | mtbf (years, Fig. 2) |
-                       tiers (hierarchy depth) | weibull-shape |
-                       power-ratio (energy metric) |
-                       local-failure-share (recovery mix) |
-                       ckpt-mem-fraction (checkpointed share of node
-                       memory, in (0, 1])                  [bandwidth]
-  --values a,b,c       swept values
-                       [bandwidth: 40..160; mtbf: 2..50; tiers: 0..3;
-                        weibull-shape: 0.5..2; power-ratio: 0.25..4;
-                        local-failure-share: 0..0.9;
-                        ckpt-mem-fraction: 0.05..1]
+  --axis <key>         the swept axis (see above)     [bandwidth_gbps]
+  --values a,b,c       swept values; without it, the scenario file's
+                       values for this axis, else the axis defaults:
+                       [bandwidth_gbps: 40..160; mtbf_years: 2..50;
+                        tiers: 0..3; weibull_shape: 0.5..2;
+                        power_ratio: 0.25..4; local_failure_share:
+                        0..0.9; ckpt_mem_fraction: 0.05..1]
   --samples <n>        Monte-Carlo instances per point     [10]
   --seed <n>           base seed                           [1]
-  --power <model>      base power model for power-ratio    [cielo]
+  --power <model>      base power model for power_ratio    [cielo]
   --platform, --bandwidth, --mtbf-years, --span-days, --interference,
   --failures, --failure-classes, --telemetry, --format as in
   `coopckpt run --help`
 
-The local-failure-share axis installs `{local: x, system: 1-x}` severity
+Each point applies its value to the scenario and compiles it like `run`
+does, so a `--tiers` hierarchy is sized from each point's bandwidth.
+
+The local_failure_share axis installs `{local: x, system: 1-x}` severity
 classes per point (total failure rate unchanged): local failures restore
 from the shallowest surviving storage tier, so waste falls as x grows —
 run it with `--tiers` >= 2 to give restores somewhere to read from.
 
-The ckpt-mem-fraction axis rescales every class's checkpoint volume to
+The ckpt_mem_fraction axis rescales every class's checkpoint volume to
 the given fraction of its nodes' memory (comd-ft progress-rate style);
 pair it with `--platform exascale` for the projective study. It is
 incompatible with trace workloads, whose checkpoint sizes come from the
 trace itself.
 
 EXAMPLES:
-  coopckpt sweep --axis bandwidth --values 40,80,120,160 --samples 50
-  coopckpt sweep --axis mtbf --values 2,5,10,20,50 --bandwidth 40
+  coopckpt sweep --axis bandwidth_gbps --values 40,80,120,160 --samples 50
+  coopckpt sweep --axis mtbf_years --values 2,5,10,20,50 --bandwidth 40
   coopckpt sweep --axis tiers --values 0,1,2,3 --bandwidth 40 --format csv
-  coopckpt sweep --axis weibull-shape --values 0.5,0.7,1,1.5 --bandwidth 40
-  coopckpt sweep --axis power-ratio --power cielo --bandwidth 40
-  coopckpt sweep --axis local-failure-share --tiers 3 --bandwidth 40
-  coopckpt sweep --axis ckpt-mem-fraction --platform exascale --samples 20
-  coopckpt sweep --scenario scenarios/cielo_baseline.json --axis mtbf
+  coopckpt sweep --axis weibull_shape --values 0.5,0.7,1,1.5 --bandwidth 40
+  coopckpt sweep --axis power_ratio --power cielo --bandwidth 40
+  coopckpt sweep --axis local_failure_share --tiers 3 --bandwidth 40
+  coopckpt sweep --axis ckpt_mem_fraction --platform exascale --samples 20
+  coopckpt sweep --scenario scenarios/cielo_baseline.json --axis mtbf_years
 ";
 
 /// `coopckpt trace --help`
@@ -246,18 +251,19 @@ EXAMPLES:
   coopckpt trace --seed 7 --failures weibull:0.7 --span-days 2 --format json
 ";
 
-/// `coopckpt suite --help`
-pub const SUITE_HELP: &str = "\
+/// `coopckpt suite --help` (`{axes}` is replaced by the axis keys).
+const SUITE_HELP: &str = "\
 coopckpt suite — execute a campaign suite file across a thread pool
 
 USAGE:
   coopckpt suite <suite.json> [--threads n] [--cache dir] [--flag value]...
 
 A suite file declares many scenarios at once: an optional `base` scenario,
-a `grid` of axes whose cartesian product is applied to the base
-(axes: strategy|bandwidth_gbps|mtbf_years|tiers|span_days|samples|seed|
-local_failure_share|workload), and/or an explicit `scenarios` list. A
-plain scenario file is accepted as a one-point suite. Expansion is
+a `grid` of axes whose cartesian product is applied to the base, and/or
+an explicit `scenarios` list. The grid keys are
+  {axes}
+(a grid may not combine `workload` with `ckpt_mem_fraction`). A plain
+scenario file is accepted as a one-point suite. Expansion is
 deduplicated and order-stable; each point is auto-named
 `prefix/axis=value/...` (slashes in values become underscores).
 
@@ -325,15 +331,36 @@ EXAMPLES:
 ";
 
 /// The help text for a subcommand, when it has a dedicated page.
-pub fn help_for(command: &str) -> Option<&'static str> {
-    match command {
-        "run" => Some(RUN_HELP),
-        "sweep" => Some(SWEEP_HELP),
-        "trace" => Some(TRACE_HELP),
-        "suite" => Some(SUITE_HELP),
-        "compare" => Some(COMPARE_HELP),
-        _ => None,
+pub fn help_for(command: &str) -> Option<String> {
+    let page = match command {
+        "run" => RUN_HELP,
+        "sweep" => SWEEP_HELP,
+        "trace" => TRACE_HELP,
+        "suite" => SUITE_HELP,
+        "compare" => COMPARE_HELP,
+        _ => return None,
+    };
+    Some(page.replace("{axes}", &axis_list()))
+}
+
+/// [`AXIS_KEYS`] joined by `|`, wrapped to the help pages' width with
+/// the pages' two-space indent.
+fn axis_list() -> String {
+    let mut out = String::new();
+    let mut width = 0;
+    for (i, key) in AXIS_KEYS.iter().enumerate() {
+        if i > 0 {
+            out.push('|');
+            width += 1;
+        }
+        if width + key.len() > 60 {
+            out.push_str("\n  ");
+            width = 0;
+        }
+        out.push_str(key);
+        width += key.len();
     }
+    out
 }
 
 /// Flags shared by every scenario-driven subcommand.
@@ -671,30 +698,29 @@ pub fn run(args: &Args) -> CmdResult {
 
 /// `coopckpt sweep`
 pub fn sweep(args: &Args) -> CmdResult {
-    let mut sc = scenario_from(args)?;
-    if let Some(raw) = args.get("axis") {
-        let axis: SweepAxis = raw.parse()?;
-        match &mut sc.sweep {
-            Some(sweep) if sweep.axis == axis => {}
-            slot => {
-                *slot = Some(Sweep {
-                    axis,
-                    values: axis.default_values(),
-                })
-            }
-        }
-    }
-    if sc.sweep.is_none() {
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::Bandwidth,
-            values: SweepAxis::Bandwidth.default_values(),
-        });
-    }
-    if let Some(values) = args.get_f64_list("values")? {
-        sc.sweep.as_mut().expect("ensured above").values = values;
-    }
-    let report = run_scenario(&sc)?;
+    let report = run_scenario(&sweep_scenario_from(args)?)?;
     emit(&report, args)
+}
+
+/// [`scenario_from`] plus the sweep: `--axis` (else the scenario file's
+/// sweep axis, else `bandwidth_gbps`) over `--values` (else the file's
+/// values for that axis, else the axis defaults), validated by
+/// [`Axis::sweep`].
+fn sweep_scenario_from(args: &Args) -> Result<Scenario, Box<dyn std::error::Error>> {
+    let mut sc = scenario_from(args)?;
+    let file_axis = sc.sweep.take();
+    let key = args
+        .get("axis")
+        .or(file_axis.as_ref().map(Axis::key))
+        .unwrap_or("bandwidth_gbps");
+    let values = match args.get_f64_list("values")? {
+        Some(values) => Some(Json::Arr(values.into_iter().map(Json::Num).collect())),
+        None => file_axis
+            .filter(|axis| axis.key() == key)
+            .map(|axis| axis.values_json()),
+    };
+    sc.sweep = Some(Axis::sweep(key, values.as_ref())?);
+    Ok(sc)
 }
 
 /// `coopckpt suite` — expand a campaign suite file and execute every
@@ -931,6 +957,100 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_sweep_values_are_errors_not_panics() {
+        for (axis, value) in [("bandwidth_gbps", "-40"), ("mtbf_years", "0")] {
+            let a = args(&["sweep", "--axis", axis, "--values", value, "--samples", "1"]);
+            let e = sweep(&a).expect_err(axis).to_string();
+            assert!(
+                e.contains("sweep.values") && e.contains(axis),
+                "{axis}: {e}"
+            );
+        }
+        // The same value in a scenario file fails at load time.
+        let path = std::env::temp_dir().join(format!(
+            "coopckpt_cli_bad_sweep_{}.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            r#"{"sweep": {"axis": "bandwidth_gbps", "values": [-40]}}"#,
+        )
+        .unwrap();
+        let e = run(&args(&["run", "--scenario", path.to_str().unwrap()]))
+            .expect_err("negative bandwidth in a file")
+            .to_string();
+        assert!(e.contains("sweep.values"), "{e}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The mean waste of `series` in a `run` or `sweep` report: the cell
+    /// after the series name.
+    fn mean_waste(report: &Report, series: &str) -> f64 {
+        let is_series = |c: &Cell| matches!(c, Cell::Text(t) if t == series);
+        let row = report.sections[0]
+            .rows
+            .iter()
+            .find(|row| row.iter().any(is_series))
+            .unwrap_or_else(|| panic!("no {series} row"));
+        let at = row.iter().position(is_series).unwrap() + 1;
+        match &row[at] {
+            Cell::Float { value, .. } => *value,
+            other => panic!("expected a mean, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sweep_grid_and_run_agree_on_a_tiered_point() {
+        // Geometric tiers scale with the PFS bandwidth, so every front
+        // door must size them from the point's 40 GB/s, not the preset's.
+        let common = [
+            "--tiers",
+            "3",
+            "--span-days",
+            "2",
+            "--samples",
+            "2",
+            "--seed",
+            "1",
+        ];
+        let with = |head: &[&str]| args(&[head, &common[..]].concat());
+        let swept = sweep_scenario_from(&with(&[
+            "sweep",
+            "--axis",
+            "bandwidth_gbps",
+            "--values",
+            "40",
+        ]))
+        .unwrap();
+        let sweep_report = run_scenario(&swept).unwrap();
+        let suite = Suite::parse(
+            r#"{"base": {"tiers": 3, "span_days": 2, "samples": 2, "seed": 1},
+                "grid": {"strategy": ["least-waste", "ordered-daly"], "bandwidth_gbps": [40]}}"#,
+        )
+        .unwrap();
+        let grid = suite.expand().unwrap();
+        for (i, (strategy, series)) in [
+            ("least-waste", "Least-Waste"),
+            ("ordered-daly", "Ordered-Daly"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let single =
+                scenario_from(&with(&["run", "--bandwidth", "40", "--strategy", strategy]))
+                    .unwrap();
+            let run_mean = mean_waste(&run_scenario(&single).unwrap(), series);
+            let grid_mean = mean_waste(&run_scenario(&grid[i]).unwrap(), series);
+            assert_eq!(
+                mean_waste(&sweep_report, series),
+                run_mean,
+                "{series}: sweep vs run"
+            );
+            assert_eq!(grid_mean, run_mean, "{series}: grid vs run");
+        }
+    }
+
+    #[test]
     fn platform_flags_override() {
         let sc = scenario_from(&args(&["x", "--platform", "prospective"])).unwrap();
         assert_eq!(sc.resolve_platform().unwrap().name, "Prospective");
@@ -1073,14 +1193,19 @@ mod tests {
     #[test]
     fn new_sweep_axes_are_accepted() {
         for axis in [
-            "weibull-shape",
-            "power-ratio",
-            "local-failure-share",
-            "ckpt-mem-fraction",
+            "weibull_shape",
+            "power_ratio",
+            "local_failure_share",
+            "ckpt_mem_fraction",
         ] {
-            let parsed: SweepAxis = axis.parse().unwrap();
-            assert_eq!(parsed.as_str(), axis);
+            let sc = sweep_scenario_from(&args(&["sweep", "--axis", axis])).unwrap();
+            assert_eq!(sc.sweep.unwrap().key(), axis);
         }
+        // No aliases for the kebab spellings; the error lists the keys.
+        let e = sweep_scenario_from(&args(&["sweep", "--axis", "power-ratio"]))
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("power_ratio"), "{e}");
         assert!(known_flags("sweep").contains(&"power"));
         assert!(known_flags("run").contains(&"power"));
         assert!(!known_flags("table1").contains(&"power"));
@@ -1221,9 +1346,9 @@ mod tests {
             ("run", "--workload <source>"),
             ("run", "--telemetry <file>"),
             ("sweep", "--telemetry"),
-            ("sweep", "power-ratio"),
-            ("sweep", "weibull-shape"),
-            ("sweep", "ckpt-mem-fraction"),
+            ("sweep", "power_ratio"),
+            ("sweep", "weibull_shape"),
+            ("sweep", "ckpt_mem_fraction"),
             ("trace", "tier_absorb"),
         ] {
             let page = help_for(cmd).expect("dedicated help page");
@@ -1238,7 +1363,12 @@ mod tests {
         assert!(USAGE.contains("--format text|csv|json"));
         let suite_page = help_for("suite").unwrap();
         assert!(suite_page.contains("--gc"));
-        assert!(suite_page.contains("workload"));
+        // Both axis lists come from the one key constant.
+        let sweep_page = help_for("sweep").unwrap();
+        for key in AXIS_KEYS {
+            assert!(suite_page.contains(key), "suite help lacks {key}");
+            assert!(sweep_page.contains(key), "sweep help lacks {key}");
+        }
         assert!(suite_page.contains("--telemetry <file>"));
         assert!(USAGE.contains("--telemetry <out.jsonl>"));
         assert!(USAGE.contains("exascale"));

@@ -5,7 +5,7 @@
 //! coopckpt table1                              # the APEX workload table
 //! coopckpt theory  [--platform cielo] [--bandwidth 40] [--mtbf-years 2]
 //! coopckpt run     [--scenario file.json] [--strategy least-waste] ...
-//! coopckpt sweep   --axis bandwidth --values 40,80,120,160 ...
+//! coopckpt sweep   --axis bandwidth_gbps --values 40,80,120,160 ...
 //! coopckpt suite   scenarios/paper_grid.json [--cache .campaign]
 //! coopckpt compare cold.json warm.json [--tolerance 0.05]
 //! coopckpt workload [--seed 1] [--span-days 60]
@@ -34,7 +34,7 @@ fn main() {
             .command
             .as_deref()
             .and_then(commands::help_for)
-            .unwrap_or(commands::USAGE);
+            .unwrap_or_else(|| commands::USAGE.to_string());
         println!("{page}");
         return;
     }

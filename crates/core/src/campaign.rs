@@ -40,12 +40,12 @@
 //! [`compare_campaigns`] diffs two campaign (or single-report) JSON
 //! documents and highlights metric drift beyond a relative tolerance.
 
-use crate::experiments::{local_failure_mix, run_scenario_with_cache};
+use crate::axis::Axis;
+use crate::experiments::run_scenario_with_cache;
 use crate::json::{Json, JsonError};
 use crate::montecarlo::OpPointCache;
 use crate::report::{Cell, OutputFormat, Report};
-use crate::scenario::{Scenario, ScenarioError, WorkloadSource, MAX_TIER_DEPTH};
-use crate::strategy::Strategy;
+use crate::scenario::{Scenario, ScenarioError};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
@@ -136,219 +136,8 @@ impl From<JsonError> for CampaignError {
     }
 }
 
-/// One axis of a suite's cartesian grid: the field it varies and the
-/// values it takes (in document order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum GridAxis {
-    /// Strategy spec names (the `--strategy` grammar).
-    Strategy(Vec<Strategy>),
-    /// Aggregate PFS bandwidth in GB/s.
-    BandwidthGbps(Vec<f64>),
-    /// Node MTBF in years.
-    MtbfYears(Vec<f64>),
-    /// Geometric storage-hierarchy depth (0 = the paper's PFS-only
-    /// platform).
-    Tiers(Vec<usize>),
-    /// Simulated span per instance, in days.
-    SpanDays(Vec<f64>),
-    /// Monte-Carlo instances per point.
-    Samples(Vec<usize>),
-    /// Base seed.
-    Seed(Vec<u64>),
-    /// Share of node-local failures, installed per point as the
-    /// `{local: x, system: 1 - x}` two-class mix (the paper's class-mix
-    /// axis; `0` is the single-class model).
-    LocalFailureShare(Vec<f64>),
-    /// Workload sources: `"apex"`, or a trace path / `synthetic:...`
-    /// generator spec (the scenario `workload.trace` grammar).
-    Workload(Vec<String>),
-}
-
-/// The accepted `grid` keys, for error messages.
-const GRID_KEYS: &str =
-    "strategy|bandwidth_gbps|mtbf_years|tiers|span_days|samples|seed|local_failure_share|workload";
-
-impl GridAxis {
-    /// The axis's JSON key (and auto-name label).
-    pub fn key(&self) -> &'static str {
-        match self {
-            GridAxis::Strategy(_) => "strategy",
-            GridAxis::BandwidthGbps(_) => "bandwidth_gbps",
-            GridAxis::MtbfYears(_) => "mtbf_years",
-            GridAxis::Tiers(_) => "tiers",
-            GridAxis::SpanDays(_) => "span_days",
-            GridAxis::Samples(_) => "samples",
-            GridAxis::Seed(_) => "seed",
-            GridAxis::LocalFailureShare(_) => "local_failure_share",
-            GridAxis::Workload(_) => "workload",
-        }
-    }
-
-    /// Number of values on the axis.
-    pub fn len(&self) -> usize {
-        match self {
-            GridAxis::Strategy(v) => v.len(),
-            GridAxis::BandwidthGbps(v) | GridAxis::MtbfYears(v) => v.len(),
-            GridAxis::SpanDays(v) | GridAxis::LocalFailureShare(v) => v.len(),
-            GridAxis::Tiers(v) | GridAxis::Samples(v) => v.len(),
-            GridAxis::Seed(v) => v.len(),
-            GridAxis::Workload(v) => v.len(),
-        }
-    }
-
-    /// True when the axis has no values (rejected at parse time, so only
-    /// hand-built suites can hit this).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The display label of value `i`, used in auto-generated point names
-    /// (`f64` values use Rust's shortest round-trip formatting, so `40.0`
-    /// labels as `40`).
-    fn label(&self, i: usize) -> String {
-        match self {
-            GridAxis::Strategy(v) => v[i].spec_name(),
-            GridAxis::BandwidthGbps(v) | GridAxis::MtbfYears(v) => format!("{}", v[i]),
-            GridAxis::SpanDays(v) | GridAxis::LocalFailureShare(v) => format!("{}", v[i]),
-            GridAxis::Tiers(v) | GridAxis::Samples(v) => format!("{}", v[i]),
-            GridAxis::Seed(v) => format!("{}", v[i]),
-            GridAxis::Workload(v) => v[i].clone(),
-        }
-    }
-
-    /// Applies value `i` to a scenario.
-    fn apply(&self, sc: Scenario, i: usize) -> Scenario {
-        match self {
-            GridAxis::Strategy(v) => sc.with_strategy(v[i]),
-            GridAxis::BandwidthGbps(v) => sc.with_bandwidth_gbps(v[i]),
-            GridAxis::MtbfYears(v) => sc.with_mtbf_years(v[i]),
-            GridAxis::Tiers(v) => sc.with_tier_depth(v[i]),
-            GridAxis::SpanDays(v) => sc.with_span(coopckpt_des::Duration::from_days(v[i])),
-            GridAxis::Samples(v) => {
-                let seed = sc.seed;
-                sc.with_sampling(v[i], seed)
-            }
-            GridAxis::Seed(v) => {
-                let samples = sc.samples;
-                sc.with_sampling(samples, v[i])
-            }
-            GridAxis::LocalFailureShare(v) => sc.with_failure_classes(local_failure_mix(v[i])),
-            GridAxis::Workload(v) => {
-                let mut sc = sc;
-                sc.workload = match v[i].as_str() {
-                    "apex" => WorkloadSource::Apex,
-                    spec => WorkloadSource::Trace(spec.to_string()),
-                };
-                sc
-            }
-        }
-    }
-
-    /// Parses one `grid` entry.
-    fn from_json(key: &str, v: &Json) -> Result<GridAxis, CampaignError> {
-        let field = format!("grid.{key}");
-        let values = v
-            .as_array()
-            .ok_or_else(|| CampaignError::invalid(&field, "expected an array of values"))?;
-        if values.is_empty() {
-            return Err(CampaignError::invalid(&field, "axis must list values"));
-        }
-        let floats =
-            |pred: fn(f64) -> bool, what: &'static str| -> Result<Vec<f64>, CampaignError> {
-                values
-                    .iter()
-                    .map(|v| {
-                        v.as_f64()
-                            .filter(|&x| x.is_finite() && pred(x))
-                            .ok_or_else(|| CampaignError::invalid(&field, what))
-                    })
-                    .collect()
-            };
-        let ints = |what: &'static str| -> Result<Vec<u64>, CampaignError> {
-            values
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| CampaignError::invalid(&field, what))
-                })
-                .collect()
-        };
-        match key {
-            "strategy" => values
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .ok_or_else(|| {
-                            CampaignError::invalid(&field, "expected strategy spec names")
-                        })?
-                        .parse::<Strategy>()
-                        .map_err(|e| CampaignError::invalid(&field, e))
-                })
-                .collect::<Result<Vec<Strategy>, CampaignError>>()
-                .map(GridAxis::Strategy),
-            "bandwidth_gbps" => Ok(GridAxis::BandwidthGbps(floats(
-                |x| x > 0.0,
-                "bandwidths must be positive numbers (GB/s)",
-            )?)),
-            "mtbf_years" => Ok(GridAxis::MtbfYears(floats(
-                |x| x > 0.0,
-                "MTBFs must be positive numbers (years)",
-            )?)),
-            "span_days" => Ok(GridAxis::SpanDays(floats(
-                |x| x > 0.0,
-                "spans must be positive numbers (days)",
-            )?)),
-            "local_failure_share" => Ok(GridAxis::LocalFailureShare(floats(
-                |x| (0.0..=1.0).contains(&x),
-                "shares must be numbers in [0, 1]",
-            )?)),
-            "tiers" => {
-                let counts = ints("tier depths must be non-negative integers")?;
-                if let Some(&bad) = counts.iter().find(|&&k| k > MAX_TIER_DEPTH as u64) {
-                    return Err(CampaignError::invalid(
-                        &field,
-                        format!("tier depth {bad} exceeds the maximum {MAX_TIER_DEPTH}"),
-                    ));
-                }
-                Ok(GridAxis::Tiers(
-                    counts.iter().map(|&k| k as usize).collect(),
-                ))
-            }
-            "samples" => {
-                let counts = ints("sample counts must be positive integers")?;
-                if counts.contains(&0) {
-                    return Err(CampaignError::invalid(
-                        &field,
-                        "at least one sample required",
-                    ));
-                }
-                Ok(GridAxis::Samples(
-                    counts.iter().map(|&k| k as usize).collect(),
-                ))
-            }
-            "seed" => Ok(GridAxis::Seed(ints("seeds must be non-negative integers")?)),
-            "workload" => values
-                .iter()
-                .map(|v| {
-                    v.as_str().map(str::to_string).ok_or_else(|| {
-                        CampaignError::invalid(
-                            &field,
-                            "expected workload specs (\"apex\", a trace path, or synthetic:...)",
-                        )
-                    })
-                })
-                .collect::<Result<Vec<String>, CampaignError>>()
-                .map(GridAxis::Workload),
-            other => Err(CampaignError::invalid(
-                format!("grid.{other}"),
-                format!("unknown grid axis (expected {GRID_KEYS})"),
-            )),
-        }
-    }
-}
-
 /// A declarative campaign: a base scenario, an optional cartesian grid
-/// over [`GridAxis`] values, and optional explicit member scenarios. See
+/// over [`Axis`] values, and optional explicit member scenarios. See
 /// the [module docs](self) for the JSON schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suite {
@@ -360,7 +149,7 @@ pub struct Suite {
     /// Explicit members, appended after the grid points.
     pub scenarios: Vec<Scenario>,
     /// Grid axes in document order (first axis outermost).
-    pub grid: Vec<GridAxis>,
+    pub grid: Vec<Axis>,
 }
 
 impl Suite {
@@ -442,7 +231,23 @@ impl Suite {
                             "duplicate grid axis",
                         ));
                     }
-                    axes.push(GridAxis::from_json(k, val)?);
+                    let field = format!("grid.{k}");
+                    axes.push(Axis::parse(k, val, &field).map_err(|e| match e {
+                        ScenarioError::Invalid { field, message } => {
+                            CampaignError::Invalid { field, message }
+                        }
+                        other => CampaignError::Scenario(other),
+                    })?);
+                }
+                // Axes apply in document order, so a workload axis after
+                // ckpt_mem_fraction would silently replace the scaled
+                // classes (and one before it would be rescaled away).
+                if seen.contains("workload") && seen.contains("ckpt_mem_fraction") {
+                    return Err(CampaignError::invalid(
+                        "grid.ckpt_mem_fraction",
+                        "cannot be combined with a workload axis: ckpt_mem_fraction \
+                         replaces the workload with its rescaled classes",
+                    ));
                 }
                 axes
             }
@@ -476,7 +281,7 @@ impl Suite {
     pub fn expand(&self) -> Result<Vec<Scenario>, CampaignError> {
         let mut points: Vec<Scenario> = Vec::new();
         if !self.grid.is_empty() {
-            let dims: Vec<usize> = self.grid.iter().map(GridAxis::len).collect();
+            let dims: Vec<usize> = self.grid.iter().map(Axis::len).collect();
             if dims.contains(&0) {
                 return Err(CampaignError::invalid("grid", "axis must list values"));
             }
@@ -489,21 +294,28 @@ impl Suite {
                     idx[d] = rem % dim;
                     rem /= dim;
                 }
-                let mut sc = self.base.clone();
-                let mut label = Vec::with_capacity(self.grid.len());
-                for (axis, &i) in self.grid.iter().zip(&idx) {
-                    sc = axis.apply(sc, i);
-                    // `/` separates the name's axis segments (and these
-                    // names become file-ish labels downstream), so values
-                    // carrying one — trace paths — are flattened to `_`.
-                    let value = axis.label(i).replace('/', "_");
-                    label.push(format!("{}={}", axis.key(), value));
-                }
-                let label = label.join("/");
-                sc.name = Some(match &prefix {
+                // `/` separates the name's axis segments (and these names
+                // become file-ish labels downstream), so values carrying
+                // one — trace paths — are flattened to `_`.
+                let label = self
+                    .grid
+                    .iter()
+                    .zip(&idx)
+                    .map(|(axis, &i)| format!("{}={}", axis.key(), axis.label(i).replace('/', "_")))
+                    .collect::<Vec<_>>()
+                    .join("/");
+                let name = match &prefix {
                     Some(p) => format!("{p}/{label}"),
                     None => label,
-                });
+                };
+                let mut sc = self.base.clone();
+                for (axis, &i) in self.grid.iter().zip(&idx) {
+                    sc = axis.apply(sc, i).map_err(|source| CampaignError::Point {
+                        name: name.clone(),
+                        source,
+                    })?;
+                }
+                sc.name = Some(name);
                 points.push(sc);
             }
         }
@@ -1318,6 +1130,7 @@ pub fn compare_campaigns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::WorkloadSource;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("coopckpt-{tag}-{}", std::process::id()));

@@ -1,183 +1,24 @@
-//! Experiment sweeps regenerating the paper's figures.
+//! Running scenarios, and the paper's figure experiments.
 //!
-//! Each helper returns plain data (one [`SweepPoint`] per strategy per
-//! x-value plus the theoretical lower bound), leaving rendering to the
-//! bench binaries and the CLI:
-//!
-//! * [`waste_vs_bandwidth`] — Figure 1: waste ratio as a function of the
-//!   aggregate PFS bandwidth (Cielo, 2-year node MTBF in the paper).
-//! * [`waste_vs_mtbf`] — Figure 2: waste ratio as a function of node MTBF
-//!   (Cielo, 40 GB/s in the paper).
+//! * [`run_scenario`] — executes a [`Scenario`] end to end: one operating
+//!   point, or a sweep that runs the strategy roster at every value of
+//!   one [`Axis`] (Figure 1 sweeps `bandwidth_gbps`, Figure 2
+//!   `mtbf_years`) and adds the Theorem 1 bound where it applies.
 //! * [`min_bandwidth_for_efficiency`] — Figure 3: the smallest bandwidth
 //!   reaching a target efficiency (80 % in the paper), per strategy, found
 //!   by bisection over the bandwidth axis.
-//! * [`waste_vs_tier_count`] — beyond the paper: waste ratio as a function
-//!   of storage-hierarchy depth (0 = the paper's PFS-only platform), with
-//!   tiers scaled to the platform by
-//!   [`geometric_tiers`].
 
+use crate::axis::Axis;
 use crate::montecarlo::{run_many, run_many_by, MonteCarloConfig, OpPointCache};
 use crate::report::{candlestick_cells, Cell, Report, CANDLESTICK_COLUMNS};
-use crate::scenario::{Scenario, ScenarioError, Sweep, SweepAxis};
-use crate::sim::{
-    geometric_tiers, EnergySummary, FailureClass, FailureModel, PowerModel, SimConfig, SimResult,
-};
-use crate::strategy::{CheckpointPolicy, Strategy};
-use coopckpt_des::Duration;
-use coopckpt_model::{AppClass, Bandwidth, Bytes, Platform};
+use crate::scenario::{Scenario, ScenarioError};
+use crate::sim::{EnergySummary, FailureClass, SimConfig, SimResult};
+use crate::strategy::Strategy;
+use coopckpt_model::{AppClass, Bandwidth, Platform};
 use coopckpt_stats::{Candlestick, Category, ProjectLedger, WasteLedger};
 use coopckpt_theory::{lower_bound, ClassParams};
 
-/// One measured operating point of a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// The swept x-value (GB/s for Fig. 1, node-MTBF years for Fig. 2).
-    pub x: f64,
-    /// Strategy name, or `"Theoretical Model"` for the bound.
-    pub series: String,
-    /// Candlestick of the waste ratio over the Monte-Carlo instances
-    /// (degenerate — all fields equal — for the analytic bound).
-    pub stats: Candlestick,
-}
-
-fn bound_point(x: f64, platform: &Platform, classes: &[AppClass]) -> SweepPoint {
-    let params: Vec<ClassParams> = classes
-        .iter()
-        .map(|c| ClassParams::from_app_class(c, platform))
-        .collect();
-    let w = lower_bound(platform, &params).waste;
-    SweepPoint {
-        x,
-        series: "Theoretical Model".to_string(),
-        stats: Candlestick::from_samples(&[w]),
-    }
-}
-
-/// Figure 1: waste ratio vs. aggregate bandwidth, for every strategy plus
-/// the theoretical bound. `template` carries the platform (its bandwidth
-/// field is overridden per point), classes, span and models.
-pub fn waste_vs_bandwidth(
-    template: &SimConfig,
-    bandwidths_gbps: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &gbps in bandwidths_gbps {
-        let platform = template.platform.with_bandwidth(Bandwidth::from_gbps(gbps));
-        for strat in strategies {
-            let cfg = SimConfig {
-                platform: platform.clone(),
-                strategy: *strat,
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: gbps,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-        points.push(bound_point(gbps, &platform, &template.classes));
-    }
-    points
-}
-
-/// Figure 2: waste ratio vs. node MTBF (years), for every strategy plus
-/// the theoretical bound, at the template's fixed bandwidth.
-pub fn waste_vs_mtbf(
-    template: &SimConfig,
-    mtbf_years: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &years in mtbf_years {
-        let platform = template
-            .platform
-            .with_node_mtbf(Duration::from_years(years));
-        for strat in strategies {
-            let cfg = SimConfig {
-                platform: platform.clone(),
-                strategy: *strat,
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: years,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-        points.push(bound_point(years, &platform, &template.classes));
-    }
-    points
-}
-
-/// Beyond the paper: waste ratio vs. storage-hierarchy depth, for every
-/// strategy, at the template's fixed PFS bandwidth. Each tier count `k`
-/// installs [`geometric_tiers`]`(platform, k)`
-/// (`k = 0` is the PFS-only baseline).
-///
-/// No "Theoretical Model" series is emitted: the Theorem 1 bound prices
-/// checkpoints at the PFS commit cost, which a hierarchy's fast absorbs
-/// legitimately undercut, so the bound is not a lower bound on these runs.
-pub fn waste_vs_tier_count(
-    template: &SimConfig,
-    tier_counts: &[usize],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &k in tier_counts {
-        let tiers = geometric_tiers(&template.platform, k);
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                tiers: tiers.clone(),
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: k as f64,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-    }
-    points
-}
-
-/// ROADMAP follow-on sweep: waste ratio vs. Weibull failure-law shape,
-/// mean-matched to the platform MTBF (`shape = 1` is the exponential
-/// law). No "Theoretical Model" series: Theorem 1 is derived under
-/// exponential failures, so the bound does not apply across this axis.
-pub fn waste_vs_weibull_shape(
-    template: &SimConfig,
-    shapes: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &shape in shapes {
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                failures: FailureModel::Weibull(shape),
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: shape,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-    }
-    points
-}
-
-/// The two-class mix the `local-failure-share` axis installs at share
+/// The two-class mix the `local_failure_share` axis installs at share
 /// `x`: node-local failures (severity 1 — the victim's node-local copy
 /// dies with its node; every shared tier survives) carrying `x` of the
 /// platform failure rate, system failures the rest. `x = 0` is exactly
@@ -189,216 +30,76 @@ pub fn local_failure_mix(local_share: f64) -> Vec<FailureClass> {
     ]
 }
 
-/// Per-level failure-class follow-on sweep: waste ratio vs. the share of
-/// failures that are node-local rather than system-wide, under the
-/// template's storage hierarchy ([`local_failure_mix`] per point). The
-/// total failure rate is unchanged across the axis — only the recovery
-/// source moves (shallow tier restores instead of PFS reads) — so the
-/// mean waste falls as the local share grows. No "Theoretical Model"
-/// series: Theorem 1 prices every recovery at the PFS read, which local
-/// restores legitimately undercut.
-pub fn waste_vs_local_failure_share(
-    template: &SimConfig,
-    shares: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &share in shares {
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                failure_classes: local_failure_mix(share),
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: share,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
+/// Appends the `sweep` section: one row per `(x, strategy)` with waste
+/// candlesticks, for every strategy of [`Axis::roster`] at every value of
+/// `axis`, plus a "Theoretical Model" row per value where
+/// [`Axis::has_bound`]. Each point is `base` with the value applied by
+/// [`Axis::apply`] and compiled once; every point is validated before any
+/// of them runs. Points run uncached: they are internal configs no caller
+/// re-requests.
+fn sweep_section(report: &mut Report, base: &Scenario, axis: &Axis) -> Result<(), ScenarioError> {
+    axis.check_sweepable()?;
+    let mut base = base.clone();
+    base.sweep = None;
+    if !axis.energy_metric() {
+        base.power = None;
     }
-    points
-}
-
-/// The comd-ft progress-rate sweep: waste ratio as a function of the
-/// fraction `f` of each job's memory footprint written per checkpoint.
-/// Each point replaces every class's checkpoint volume with
-/// `f × q_nodes × mem_per_node` (the footprint of a full-memory dump),
-/// keeping walltimes and shares fixed, so the axis isolates checkpoint
-/// *size* from everything else. Pair with the `exascale` platform preset
-/// to reproduce the study's operating point. The Theorem 1 bound is
-/// re-evaluated per point (it prices checkpoints at the PFS commit cost
-/// of the scaled volume), so the "Theoretical Model" series tracks the
-/// axis.
-pub fn waste_vs_ckpt_mem_fraction(
-    template: &SimConfig,
-    fractions: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &f in fractions {
-        let classes: Vec<AppClass> = template
-            .classes
-            .iter()
-            .map(|c| AppClass {
-                ckpt_bytes: Bytes::new(
-                    template.platform.mem_per_node.as_bytes() * c.q_nodes as f64 * f,
-                ),
-                ..c.clone()
-            })
-            .collect();
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                classes: classes.clone(),
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: f,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-        points.push(bound_point(f, &template.platform, &classes));
-    }
-    points
-}
-
-/// The time-vs-energy trade-off sweep: **energy** waste ratio as a
-/// function of the checkpoint/compute power ratio `ρ_ckpt / ρ_comp`. The
-/// template's power model (the Cielo preset when it has none) supplies
-/// every other draw; each point rescales the checkpoint and recovery
-/// draws to `ratio × ρ_comp`. This is the one axis whose candlesticks
-/// summarize `energy_waste_ratio` instead of the time waste ratio.
-pub fn energy_vs_power_ratio(
-    template: &SimConfig,
-    ratios: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let base = template.power.unwrap_or_else(PowerModel::cielo);
-    let mut points = Vec::new();
-    for &ratio in ratios {
-        let power = PowerModel {
-            ckpt_w: base.compute_w * ratio,
-            recovery_w: base.compute_w * ratio,
-            ..base
-        };
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                power: Some(power),
-                ..template.clone()
-            };
-            let samples = run_many_by(&cfg, mc, |r| {
-                r.energy
-                    .as_ref()
-                    .expect("power configured for every point")
-                    .energy_waste_ratio
-            });
-            points.push(SweepPoint {
-                x: ratio,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-    }
-    points
-}
-
-/// Executes one sweep descriptor against a template config: every paper
-/// strategy at every swept value (plus the `Tiered` discipline on the
-/// `tiers` axis, and the Theorem 1 bound on the axes it is valid for).
-pub fn sweep_points(
-    template: &SimConfig,
-    sweep: &Sweep,
-    mc: &MonteCarloConfig,
-) -> Result<Vec<SweepPoint>, ScenarioError> {
-    let strategies = Strategy::all_seven();
-    match sweep.axis {
-        SweepAxis::Bandwidth => Ok(waste_vs_bandwidth(template, &sweep.values, &strategies, mc)),
-        SweepAxis::Mtbf => Ok(waste_vs_mtbf(template, &sweep.values, &strategies, mc)),
-        SweepAxis::Tiers => {
-            let counts = crate::scenario::validate_tier_counts(&sweep.values)?;
-            let mut strategies = strategies.to_vec();
-            strategies.push(Strategy::tiered(CheckpointPolicy::Daly));
-            Ok(waste_vs_tier_count(template, &counts, &strategies, mc))
-        }
-        SweepAxis::WeibullShape => {
-            crate::scenario::validate_positive_values(sweep.axis, &sweep.values)?;
-            Ok(waste_vs_weibull_shape(
-                template,
-                &sweep.values,
-                &strategies,
-                mc,
-            ))
-        }
-        SweepAxis::PowerRatio => {
-            crate::scenario::validate_positive_values(sweep.axis, &sweep.values)?;
-            Ok(energy_vs_power_ratio(
-                template,
-                &sweep.values,
-                &strategies,
-                mc,
-            ))
-        }
-        SweepAxis::LocalFailureShare => {
-            crate::scenario::validate_share_values(&sweep.values)?;
-            let mut strategies = strategies.to_vec();
-            strategies.push(Strategy::tiered(CheckpointPolicy::Daly));
-            Ok(waste_vs_local_failure_share(
-                template,
-                &sweep.values,
-                &strategies,
-                mc,
-            ))
-        }
-        SweepAxis::CkptMemFraction => {
-            crate::scenario::validate_fraction_values(&sweep.values)?;
-            if template.workload_source.is_some() {
-                // Trace-driven classes carry the trace's own checkpoint
-                // volumes (they key the stream's shape table); rescaling
-                // them would desynchronize the stream from its scan.
-                return Err(ScenarioError::Invalid {
-                    field: "sweep.axis".to_string(),
-                    message: "ckpt-mem-fraction rescales class checkpoint volumes, \
-                              which trace workloads derive from the trace itself; use \
-                              an apex or classes workload for this axis"
-                        .to_string(),
-                });
-            }
-            Ok(waste_vs_ckpt_mem_fraction(
-                template,
-                &sweep.values,
-                &strategies,
-                mc,
-            ))
-        }
-    }
-}
-
-/// The standard sweep table: one row per `(x, series)` with candlestick
-/// columns, appended to `report` as a `"sweep"` section.
-pub fn sweep_section(report: &mut Report, x_label: &str, points: &[SweepPoint]) {
+    let points = (0..axis.len())
+        .map(|i| {
+            let sc = axis.apply(base.clone(), i)?;
+            Ok((sc.into_config()?, sc.mc()))
+        })
+        .collect::<Result<Vec<(SimConfig, MonteCarloConfig)>, ScenarioError>>()?;
     let section = report.section(
         "sweep",
-        [x_label, "series"].into_iter().chain(CANDLESTICK_COLUMNS),
-    );
-    for p in points {
-        section.row(
-            [Cell::Float {
-                value: p.x,
-                precision: if p.x.fract() == 0.0 { 0 } else { 2 },
-            }]
+        [axis.key(), "series"]
             .into_iter()
-            .chain([Cell::text(p.series.clone())])
-            .chain(candlestick_cells(&p.stats)),
-        );
+            .chain(CANDLESTICK_COLUMNS),
+    );
+    for (i, (config, mc)) in points.iter().enumerate() {
+        let x = match axis.number(i) {
+            Some(value) => Cell::Float {
+                value,
+                precision: if value.fract() == 0.0 { 0 } else { 2 },
+            },
+            None => Cell::text(axis.label(i)),
+        };
+        for strategy in axis.roster() {
+            let cfg = SimConfig {
+                strategy,
+                ..config.clone()
+            };
+            let samples = if axis.energy_metric() {
+                run_many_by(&cfg, mc, |r| {
+                    r.energy
+                        .as_ref()
+                        .expect("power configured for every point")
+                        .energy_waste_ratio
+                })
+            } else {
+                run_many(&cfg, mc)
+            };
+            section.row(
+                [x.clone(), Cell::text(strategy.name())]
+                    .into_iter()
+                    .chain(candlestick_cells(&samples.candlestick())),
+            );
+        }
+        if axis.has_bound() {
+            let params: Vec<ClassParams> = config
+                .classes
+                .iter()
+                .map(|c| ClassParams::from_app_class(c, &config.platform))
+                .collect();
+            let waste = lower_bound(&config.platform, &params).waste;
+            section.row(
+                [x, Cell::text("Theoretical Model")]
+                    .into_iter()
+                    .chain(candlestick_cells(&Candlestick::from_samples(&[waste]))),
+            );
+        }
     }
+    Ok(())
 }
 
 /// Runs a [`Scenario`] end to end and returns the unified [`Report`]:
@@ -406,8 +107,11 @@ pub fn sweep_section(report: &mut Report, x_label: &str, points: &[SweepPoint]) 
 /// * without a sweep — `samples` Monte-Carlo instances of the scenario's
 ///   strategy, reported as waste candlesticks plus utilization and
 ///   counter summaries;
-/// * with a sweep — the full strategy roster at every swept value (see
-///   [`sweep_points`]).
+/// * with a sweep — the axis's strategy roster at every swept value, in
+///   one `sweep` section: the paper's seven strategies (plus Tiered-Daly
+///   on `tiers` and `local_failure_share`), the Theorem 1 bound on
+///   `bandwidth_gbps`, `mtbf_years` and `ckpt_mem_fraction`, and the
+///   energy waste ratio instead of the time waste ratio on `power_ratio`.
 pub fn run_scenario(scenario: &Scenario) -> Result<Report, ScenarioError> {
     if !coopckpt_obs::enabled() {
         return run_scenario_with_cache(scenario, OpPointCache::global());
@@ -455,7 +159,6 @@ pub fn run_scenario_with_cache(
         });
     }
     let config = scenario.into_config()?;
-    let mc = scenario.mc();
     let command = if scenario.sweep.is_some() {
         "sweep"
     } else {
@@ -468,19 +171,17 @@ pub fn run_scenario_with_cache(
     report.note(config.platform.to_string());
 
     match &scenario.sweep {
-        Some(sweep) => {
-            let mut config = config;
-            if config.power.is_some() && sweep.axis != SweepAxis::PowerRatio {
+        Some(axis) => {
+            if config.power.is_some() && !axis.energy_metric() {
                 // Time-metric sweeps have no column to report energy in;
                 // don't silently pay per-event metering for numbers that
-                // would be discarded — drop the meter and say so.
-                config.power = None;
+                // would be discarded — the sweep drops the meter; say so.
                 report.note(
                     "power model ignored: sweeps report energy only on the \
                      power-ratio axis (single-point runs get energy sections)",
                 );
             }
-            if sweep.axis == SweepAxis::LocalFailureShare {
+            if let Axis::LocalFailureShare(_) = axis {
                 if config.tiers.is_empty() {
                     // The sweep still runs (it degenerates validly), but
                     // a flat curve with no explanation reads like a bug.
@@ -502,11 +203,10 @@ pub fn run_scenario_with_cache(
                     );
                 }
             }
-            let points = sweep_points(&config, sweep, &mc)?;
-            sweep_section(&mut report, sweep.axis.as_str(), &points);
+            sweep_section(&mut report, scenario, axis)?;
         }
         None => {
-            let results = cache.run_all(&config, &mc);
+            let results = cache.run_all(&config, &scenario.mc());
             let metric = |f: fn(&SimResult) -> f64| -> Vec<f64> { results.iter().map(f).collect() };
             let waste = Candlestick::from_samples(&metric(|r| r.waste_ratio));
             report
@@ -742,6 +442,8 @@ pub fn theory_min_bandwidth(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{geometric_tiers, FailureModel, PowerModel};
+    use coopckpt_des::Duration;
     use coopckpt_model::Bytes;
 
     fn template() -> SimConfig {
@@ -768,71 +470,73 @@ mod tests {
             .with_span(Duration::from_days(2.0))
     }
 
+    /// A sweep of `axis` over `base` at 2 samples.
+    fn sweep_of(base: &SimConfig, axis: Axis) -> Scenario {
+        let mut sc = Scenario::from_config(base).with_sampling(2, 1);
+        sc.sweep = Some(axis);
+        sc
+    }
+
+    /// The `(x, series, mean)` rows of a sweep report.
+    fn sweep_rows(sc: &Scenario) -> Vec<(f64, String, f64)> {
+        let report = run_scenario(sc).unwrap();
+        let section = report.sections.iter().find(|s| s.name == "sweep").unwrap();
+        section
+            .rows
+            .iter()
+            .map(|row| match (&row[0], &row[1], &row[2]) {
+                (Cell::Float { value: x, .. }, Cell::Text(series), Cell::Float { value, .. }) => {
+                    (*x, series.clone(), *value)
+                }
+                other => panic!("unexpected sweep row {other:?}"),
+            })
+            .collect()
+    }
+
+    fn means_of(rows: &[(f64, String, f64)], series: &str) -> Vec<f64> {
+        rows.iter().filter(|r| r.1 == series).map(|r| r.2).collect()
+    }
+
     #[test]
     fn bandwidth_sweep_produces_all_series() {
-        let t = template();
-        let strategies = [
-            Strategy::least_waste(),
-            Strategy::oblivious(crate::strategy::CheckpointPolicy::Daly),
-        ];
-        let pts = waste_vs_bandwidth(&t, &[2.0, 8.0], &strategies, &MonteCarloConfig::new(2));
-        // Two x-values × (two strategies + bound).
-        assert_eq!(pts.len(), 6);
-        let bounds: Vec<&SweepPoint> = pts
-            .iter()
-            .filter(|p| p.series == "Theoretical Model")
-            .collect();
+        let rows = sweep_rows(&sweep_of(&template(), Axis::BandwidthGbps(vec![2.0, 8.0])));
+        // Two x-values × (seven strategies + bound).
+        assert_eq!(rows.len(), 16);
+        let bounds = means_of(&rows, "Theoretical Model");
         assert_eq!(bounds.len(), 2);
         // The bound improves (or stays) with more bandwidth.
-        assert!(bounds[1].stats.mean <= bounds[0].stats.mean + 1e-12);
+        assert!(bounds[1] <= bounds[0] + 1e-12);
     }
 
     #[test]
     fn mtbf_sweep_produces_all_series() {
-        let t = template();
-        let pts = waste_vs_mtbf(
-            &t,
-            &[2.0, 20.0],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        assert_eq!(pts.len(), 4);
+        let rows = sweep_rows(&sweep_of(&template(), Axis::MtbfYears(vec![2.0, 20.0])));
+        assert_eq!(rows.len(), 16);
         // Theory bound falls with reliability.
-        let bounds: Vec<f64> = pts
-            .iter()
-            .filter(|p| p.series == "Theoretical Model")
-            .map(|p| p.stats.mean)
-            .collect();
+        let bounds = means_of(&rows, "Theoretical Model");
         assert!(bounds[1] < bounds[0]);
     }
 
     #[test]
     fn tier_count_sweep_produces_all_series() {
-        let t = template();
-        let strategies = [
-            Strategy::ordered(crate::strategy::CheckpointPolicy::Daly),
-            Strategy::tiered(crate::strategy::CheckpointPolicy::Daly),
-        ];
-        let pts = waste_vs_tier_count(&t, &[0, 3], &strategies, &MonteCarloConfig::new(2));
-        assert_eq!(pts.len(), 4);
-        assert!(pts.iter().all(|p| p.series != "Theoretical Model"));
+        let rows = sweep_rows(&sweep_of(&template(), Axis::Tiers(vec![0, 3])));
+        // Two x-values × (seven strategies + Tiered-Daly), no bound.
+        assert_eq!(rows.len(), 16);
+        assert!(rows.iter().all(|r| r.1 != "Theoretical Model"));
+        assert_eq!(means_of(&rows, "Tiered-Daly").len(), 2);
         // Deeper hierarchy at the same PFS bandwidth must not hurt the
         // blocking strategy.
-        let ordered: Vec<&SweepPoint> = pts.iter().filter(|p| p.series == "Ordered-Daly").collect();
-        assert!(ordered[1].stats.mean <= ordered[0].stats.mean + 1e-9);
+        let ordered = means_of(&rows, "Ordered-Daly");
+        assert!(ordered[1] <= ordered[0] + 1e-9);
     }
 
     #[test]
     fn weibull_shape_sweep_produces_all_series() {
         let t = template();
-        let pts = waste_vs_weibull_shape(
-            &t,
-            &[0.7, 1.0],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        assert_eq!(pts.len(), 2);
-        assert!(pts.iter().all(|p| p.series != "Theoretical Model"));
+        let sc = sweep_of(&t, Axis::WeibullShape(vec![0.7, 1.0]));
+        let rows = sweep_rows(&sc);
+        assert_eq!(rows.len(), 14);
+        assert!(rows.iter().all(|r| r.1 != "Theoretical Model"));
         // Shape 1.0 is the mean-matched exponential law. The sampled
         // instants differ from the exponential sampler's by ulps (the
         // mean-matching scale divides by a Lanczos Γ(2) ≈ 1), so the
@@ -842,15 +546,16 @@ mod tests {
         let expo = run_many(
             &SimConfig {
                 failures: FailureModel::Exponential,
-                ..t.clone()
+                ..t
             },
-            &MonteCarloConfig::new(2),
-        );
+            &sc.mc(),
+        )
+        .candlestick()
+        .mean;
+        let weibull_one = means_of(&rows, "Least-Waste")[1];
         assert!(
-            (pts[1].stats.mean - expo.candlestick().mean).abs() < 0.02,
-            "Weibull(1.0) waste {} strayed from exponential waste {}",
-            pts[1].stats.mean,
-            expo.candlestick().mean
+            (weibull_one - expo).abs() < 0.02,
+            "Weibull(1.0) waste {weibull_one} strayed from exponential waste {expo}"
         );
     }
 
@@ -860,32 +565,24 @@ mod tests {
             tiers: geometric_tiers(&template().platform, 3),
             ..template()
         };
-        let pts = waste_vs_local_failure_share(
-            &t,
-            &[0.0, 0.9],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        assert_eq!(pts.len(), 2);
-        assert!(pts.iter().all(|p| p.series != "Theoretical Model"));
+        let rows = sweep_rows(&sweep_of(&t, Axis::LocalFailureShare(vec![0.0, 0.9])));
+        assert_eq!(rows.len(), 16);
+        assert!(rows.iter().all(|r| r.1 != "Theoretical Model"));
         // Mostly-local failures restore from fast tiers: waste must not
         // grow versus the all-system baseline.
+        let lw = means_of(&rows, "Least-Waste");
         assert!(
-            pts[1].stats.mean <= pts[0].stats.mean + 1e-9,
+            lw[1] <= lw[0] + 1e-9,
             "local restores should not raise waste: {} vs {}",
-            pts[1].stats.mean,
-            pts[0].stats.mean
+            lw[1],
+            lw[0]
         );
     }
 
     #[test]
     fn tierless_local_share_sweep_carries_a_note() {
-        let mut sc = Scenario::from_config(&template()).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::LocalFailureShare,
-            values: vec![0.0, 0.5],
-        });
-        let report = run_scenario(&sc).unwrap();
+        let sc = sweep_of(&template(), Axis::LocalFailureShare(vec![0.0, 0.5]));
+        let report = run_scenario(&sc.with_sampling(1, 1)).unwrap();
         assert!(
             report.notes.iter().any(|n| n.contains("PFS-only platform")),
             "{:?}",
@@ -896,12 +593,8 @@ mod tests {
             tiers: geometric_tiers(&template().platform, 2),
             ..template()
         };
-        let mut sc = Scenario::from_config(&tiered).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::LocalFailureShare,
-            values: vec![0.5],
-        });
-        let report = run_scenario(&sc).unwrap();
+        let sc = sweep_of(&tiered, Axis::LocalFailureShare(vec![0.5]));
+        let report = run_scenario(&sc.with_sampling(1, 1)).unwrap();
         assert!(!report.notes.iter().any(|n| n.contains("PFS-only platform")));
     }
 
@@ -914,12 +607,8 @@ mod tests {
             failure_classes: local_failure_mix(0.3),
             ..template()
         };
-        let mut sc = Scenario::from_config(&tiered).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::LocalFailureShare,
-            values: vec![0.5],
-        });
-        let report = run_scenario(&sc).unwrap();
+        let sc = sweep_of(&tiered, Axis::LocalFailureShare(vec![0.5]));
+        let report = run_scenario(&sc.with_sampling(1, 1)).unwrap();
         assert!(
             report
                 .notes
@@ -940,60 +629,6 @@ mod tests {
         // The endpoints are valid mixes too.
         coopckpt_failure::validate_classes(&local_failure_mix(0.0)).unwrap();
         coopckpt_failure::validate_classes(&local_failure_mix(1.0)).unwrap();
-    }
-
-    #[test]
-    fn power_ratio_sweep_reports_energy_waste() {
-        let t = template();
-        let pts = energy_vs_power_ratio(
-            &t,
-            &[0.25, 4.0],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        assert_eq!(pts.len(), 2);
-        // Pricier checkpoints must not lower the energy waste at a fixed
-        // (time-optimal) period.
-        assert!(pts[1].stats.mean > pts[0].stats.mean);
-        for p in &pts {
-            assert!(p.stats.mean > 0.0 && p.stats.mean < 1.0);
-        }
-    }
-
-    #[test]
-    fn ckpt_mem_fraction_sweep_produces_all_series() {
-        let t = template();
-        let pts = waste_vs_ckpt_mem_fraction(
-            &t,
-            &[0.1, 1.0],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        // Two x-values × (one strategy + the bound).
-        assert_eq!(pts.len(), 4);
-        let bounds: Vec<f64> = pts
-            .iter()
-            .filter(|p| p.series == "Theoretical Model")
-            .map(|p| p.stats.mean)
-            .collect();
-        // Smaller checkpoints cannot raise the analytic bound.
-        assert!(bounds[0] <= bounds[1] + 1e-12);
-    }
-
-    #[test]
-    fn ckpt_mem_fraction_sweep_rejects_trace_workloads() {
-        let mut sc = Scenario::from_config(&template()).with_sampling(1, 1);
-        sc.workload = crate::scenario::WorkloadSource::Trace(
-            "synthetic:jobs=20,seed=1,projects=2,max_nodes=8,mean_walltime_hours=1,\
-             max_walltime_hours=2,mean_interarrival_secs=600,gb_per_node=2"
-                .into(),
-        );
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::CkptMemFraction,
-            values: vec![0.5],
-        });
-        let e = run_scenario(&sc).unwrap_err();
-        assert!(e.to_string().contains("trace"), "{e}");
     }
 
     #[test]
@@ -1023,6 +658,100 @@ mod tests {
     }
 
     #[test]
+    fn run_scenario_single_point_report() {
+        let t = template();
+        let mut sc = Scenario::from_config(&t).with_sampling(2, 1);
+        sc.name = Some("unit".to_string());
+        let report = run_scenario(&sc).unwrap();
+        assert_eq!(report.command, "run");
+        assert_eq!(report.sections.len(), 2);
+        assert_eq!(report.sections[0].name, "waste");
+        assert_eq!(report.sections[1].name, "summary");
+        assert_eq!(report.sections[0].rows.len(), 1);
+        // The waste row matches a direct Monte-Carlo run at equal seeds.
+        let direct = run_many(&t, &sc.mc()).candlestick();
+        match &report.sections[0].rows[0][1] {
+            Cell::Float { value, .. } => assert_eq!(*value, direct.mean),
+            other => panic!("expected a float mean, got {other:?}"),
+        }
+        assert!(report.notes.iter().any(|n| n.contains("unit")));
+    }
+
+    #[test]
+    fn theory_min_bandwidth_brackets() {
+        let t = template();
+        // The analytic bound reaches 80 % efficiency somewhere in range.
+        let bw = theory_min_bandwidth(&t.platform, &t.classes, 0.8, 0.1, 1000.0)
+            .expect("bound must reach 80% by 1000 GB/s");
+        assert!((0.1..=1000.0).contains(&bw));
+        // And a stricter target needs at least as much bandwidth.
+        let bw95 = theory_min_bandwidth(&t.platform, &t.classes, 0.95, 0.1, 1000.0);
+        if let Some(b) = bw95 {
+            assert!(b >= bw * 0.99, "95% target ({b}) below 80% target ({bw})");
+        }
+    }
+
+    #[test]
+    fn min_bandwidth_search_is_consistent() {
+        let t = template();
+        let mc = MonteCarloConfig::new(1);
+        let found =
+            min_bandwidth_for_efficiency(&t, Strategy::least_waste(), 0.5, 0.25, 64.0, 6, &mc);
+        let bw = found.expect("50% efficiency must be reachable at 64 GB/s");
+        assert!((0.25..=64.0).contains(&bw));
+    }
+    #[test]
+    fn power_ratio_sweep_reports_energy_waste() {
+        let rows = sweep_rows(&sweep_of(&template(), Axis::PowerRatio(vec![0.25, 4.0])));
+        assert_eq!(rows.len(), 14);
+        // Pricier checkpoints must not lower the energy waste at a fixed
+        // (time-optimal) period.
+        let lw = means_of(&rows, "Least-Waste");
+        assert!(lw[1] > lw[0]);
+        for (_, _, mean) in &rows {
+            assert!(*mean > 0.0 && *mean < 1.0);
+        }
+    }
+
+    #[test]
+    fn ckpt_mem_fraction_sweep_produces_all_series() {
+        let rows = sweep_rows(&sweep_of(
+            &template(),
+            Axis::CkptMemFraction(vec![0.1, 1.0]),
+        ));
+        // Two x-values × (seven strategies + the bound).
+        assert_eq!(rows.len(), 16);
+        // Smaller checkpoints cannot raise the analytic bound.
+        let bounds = means_of(&rows, "Theoretical Model");
+        assert!(bounds[0] <= bounds[1] + 1e-12);
+    }
+
+    #[test]
+    fn ckpt_mem_fraction_sweep_rejects_trace_workloads() {
+        let mut sc = sweep_of(&template(), Axis::CkptMemFraction(vec![0.5]));
+        sc.workload = crate::scenario::WorkloadSource::Trace(
+            "synthetic:jobs=20,seed=1,projects=2,max_nodes=8,mean_walltime_hours=1,\
+             max_walltime_hours=2,mean_interarrival_secs=600,gb_per_node=2"
+                .into(),
+        );
+        let e = run_scenario(&sc).unwrap_err();
+        assert!(e.to_string().contains("trace"), "{e}");
+    }
+
+    #[test]
+    fn sweeps_validate_every_point_before_running() {
+        // The second point's span draws far too many failures: the whole
+        // sweep fails up front with the span error.
+        let sc = sweep_of(&template(), Axis::SpanDays(vec![1.0, 1e12]));
+        let e = run_scenario(&sc).unwrap_err();
+        assert!(e.to_string().contains("span_days"), "{e}");
+        // A hand-built strategy sweep is rejected like a parsed one.
+        let sc = sweep_of(&template(), Axis::Strategy(vec![Strategy::least_waste()]));
+        let e = run_scenario(&sc).unwrap_err();
+        assert!(e.to_string().contains("sweep.axis"), "{e}");
+    }
+
+    #[test]
     fn run_scenario_with_power_adds_energy_sections() {
         let t = template().with_power(PowerModel::cielo());
         let sc = Scenario::from_config(&t).with_sampling(2, 1);
@@ -1049,11 +778,7 @@ mod tests {
     #[test]
     fn time_metric_sweeps_drop_the_power_model_with_a_note() {
         let t = template().with_power(PowerModel::cielo());
-        let mut sc = Scenario::from_config(&t).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::Bandwidth,
-            values: vec![2.0],
-        });
+        let sc = sweep_of(&t, Axis::BandwidthGbps(vec![2.0])).with_sampling(1, 1);
         let report = run_scenario(&sc).unwrap();
         assert!(
             report
@@ -1064,10 +789,7 @@ mod tests {
             report.notes
         );
         // The power-ratio axis keeps (and uses) the model: no such note.
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::PowerRatio,
-            values: vec![1.0],
-        });
+        let sc = sweep_of(&t, Axis::PowerRatio(vec![1.0])).with_sampling(1, 1);
         let report = run_scenario(&sc).unwrap();
         assert!(!report
             .notes
@@ -1077,47 +799,17 @@ mod tests {
 
     #[test]
     fn run_scenario_power_ratio_sweep() {
-        let t = template();
-        let mut sc = Scenario::from_config(&t).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::PowerRatio,
-            values: vec![0.5, 2.0],
-        });
+        let sc = sweep_of(&template(), Axis::PowerRatio(vec![0.5, 2.0])).with_sampling(1, 1);
         let report = run_scenario(&sc).unwrap();
         let sweep = &report.sections[0];
-        assert_eq!(sweep.columns[0], "power-ratio");
+        assert_eq!(sweep.columns[0], "power_ratio");
         // Two x-values x seven strategies, no analytic bound.
         assert_eq!(sweep.rows.len(), 2 * 7);
     }
 
     #[test]
-    fn run_scenario_single_point_report() {
-        let t = template();
-        let mut sc = Scenario::from_config(&t).with_sampling(2, 1);
-        sc.name = Some("unit".to_string());
-        let report = run_scenario(&sc).unwrap();
-        assert_eq!(report.command, "run");
-        assert_eq!(report.sections.len(), 2);
-        assert_eq!(report.sections[0].name, "waste");
-        assert_eq!(report.sections[1].name, "summary");
-        assert_eq!(report.sections[0].rows.len(), 1);
-        // The waste row matches a direct Monte-Carlo run at equal seeds.
-        let direct = run_many(&t, &sc.mc()).candlestick();
-        match &report.sections[0].rows[0][1] {
-            Cell::Float { value, .. } => assert_eq!(*value, direct.mean),
-            other => panic!("expected a float mean, got {other:?}"),
-        }
-        assert!(report.notes.iter().any(|n| n.contains("unit")));
-    }
-
-    #[test]
     fn run_scenario_sweep_report() {
-        let t = template();
-        let mut sc = Scenario::from_config(&t).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::Bandwidth,
-            values: vec![2.0, 8.0],
-        });
+        let sc = sweep_of(&template(), Axis::BandwidthGbps(vec![2.0, 8.0])).with_sampling(1, 1);
         let report = run_scenario(&sc).unwrap();
         assert_eq!(report.command, "sweep");
         assert_eq!(report.sections.len(), 1);
@@ -1125,41 +817,12 @@ mod tests {
         assert_eq!(sweep.name, "sweep");
         // Two x-values × (seven strategies + the analytic bound).
         assert_eq!(sweep.rows.len(), 2 * 8);
-        assert_eq!(sweep.columns[0], "bandwidth");
+        assert_eq!(sweep.columns[0], "bandwidth_gbps");
     }
 
     #[test]
     fn fractional_tier_sweep_is_rejected() {
-        let t = template();
-        let mut sc = Scenario::from_config(&t);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::Tiers,
-            values: vec![0.5],
-        });
-        assert!(run_scenario(&sc).is_err());
-    }
-
-    #[test]
-    fn theory_min_bandwidth_brackets() {
-        let t = template();
-        // The analytic bound reaches 80 % efficiency somewhere in range.
-        let bw = theory_min_bandwidth(&t.platform, &t.classes, 0.8, 0.1, 1000.0)
-            .expect("bound must reach 80% by 1000 GB/s");
-        assert!((0.1..=1000.0).contains(&bw));
-        // And a stricter target needs at least as much bandwidth.
-        let bw95 = theory_min_bandwidth(&t.platform, &t.classes, 0.95, 0.1, 1000.0);
-        if let Some(b) = bw95 {
-            assert!(b >= bw * 0.99, "95% target ({b}) below 80% target ({bw})");
-        }
-    }
-
-    #[test]
-    fn min_bandwidth_search_is_consistent() {
-        let t = template();
-        let mc = MonteCarloConfig::new(1);
-        let found =
-            min_bandwidth_for_efficiency(&t, Strategy::least_waste(), 0.5, 0.25, 64.0, 6, &mc);
-        let bw = found.expect("50% efficiency must be reachable at 64 GB/s");
-        assert!((0.25..=64.0).contains(&bw));
+        let e = Scenario::parse(r#"{"sweep": {"axis": "tiers", "values": [0.5]}}"#).unwrap_err();
+        assert!(e.to_string().contains("sweep.values"), "{e}");
     }
 }

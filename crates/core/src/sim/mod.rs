@@ -644,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn three_tier_hierarchy_reduces_waste_vs_pfs_only() {
+    fn three_tier_hierarchy_reduces_waste_below_pfs_only() {
         // Same PFS bandwidth; the hierarchy absorbs commits fast and
         // drains in the background, so blocking waste must fall.
         let p = tiny_platform();

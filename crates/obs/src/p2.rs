@@ -10,8 +10,7 @@
 //! Lives in `coopckpt-obs` (the workspace's dependency-free leaf) so the
 //! telemetry layer can aggregate sample times without pulling
 //! `coopckpt-stats` — and with it the simulation-time types — into the
-//! instrumented kernel crates. `coopckpt-stats` re-exports it under the
-//! original `coopckpt_stats::P2Quantile` path.
+//! instrumented kernel crates.
 //!
 //! Accuracy is typically within a fraction of a percent of the exact
 //! quantile for unimodal distributions; the property tests quantify this

@@ -189,6 +189,18 @@ impl TraceSpec {
     }
 }
 
+/// The error text for a record submitted before its predecessor. The two
+/// instants print in exponent form: a hostile log can carry submit times
+/// near `f64::MAX`, which fixed-point formatting would spell out in
+/// hundreds of digits.
+fn submit_order_message(submit: Time, previous: Time) -> String {
+    format!(
+        "records must be in nondecreasing submit order (t={:e}s after t={:e}s)",
+        submit.as_secs(),
+        previous.as_secs()
+    )
+}
+
 /// A job shape: node count plus exact checkpoint volume (bit pattern, so
 /// shape identity is exact rather than tolerance-based).
 type ShapeKey = (usize, u64);
@@ -266,11 +278,7 @@ impl TraceClasses {
                 return Err(TraceError::new(
                     context,
                     line,
-                    format!(
-                        "records must be in nondecreasing submit order \
-                         ({} after {last_submit})",
-                        job.submit
-                    ),
+                    submit_order_message(job.submit, last_submit),
                 ));
             }
             if job.submit > horizon {

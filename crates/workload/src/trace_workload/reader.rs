@@ -139,10 +139,7 @@ impl JobSource for TraceReader {
             return Some(Err(TraceError::new(
                 &self.path,
                 line_no,
-                format!(
-                    "records must be in nondecreasing submit order ({} after {})",
-                    job.submit, self.last_submit
-                ),
+                super::submit_order_message(job.submit, self.last_submit),
             )));
         }
         self.last_submit = job.submit;
@@ -440,6 +437,21 @@ mod tests {
         assert!(r.next_job().unwrap().is_ok());
         let err = r.next_job().unwrap().unwrap_err();
         assert!(err.message.contains("nondecreasing"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn out_of_order_error_prints_huge_times_in_exponent_form() {
+        let path = write_temp(
+            "order-huge",
+            "project,submit_time,nodes,walltime\na,1e250,1,1\nb,5,1,1\n",
+        );
+        let mut r = TraceReader::open(&path).unwrap();
+        assert!(r.next_job().unwrap().is_ok());
+        let err = r.next_job().unwrap().unwrap_err();
+        assert!(err.message.len() < 200, "{}", err.message);
+        assert!(err.message.contains("1e250"), "{}", err.message);
+        assert!(err.message.contains("5e0"), "{}", err.message);
         std::fs::remove_file(&path).ok();
     }
 

@@ -182,6 +182,34 @@ fn explicit_scenarios_append_after_the_grid_and_dedup_keeps_first() {
 }
 
 #[test]
+fn former_sweep_axes_are_grid_axes_too() {
+    let suite = Suite::parse(
+        r#"{
+            "name": "new-axes",
+            "base": {"span_days": 1, "samples": 1, "power": "cielo"},
+            "grid": {"weibull_shape": [0.7], "power_ratio": [2], "ckpt_mem_fraction": [0.5]}
+        }"#,
+    )
+    .expect("the sweep axes parse as grid axes");
+    let points = suite.expand().expect("expands");
+    assert_eq!(
+        points[0].name.as_deref(),
+        Some("new-axes/weibull_shape=0.7/power_ratio=2/ckpt_mem_fraction=0.5")
+    );
+    let sc = &points[0];
+    assert_eq!(sc.failures, coopckpt::sim::FailureModel::Weibull(0.7));
+    let power = sc.power.expect("power model kept");
+    assert_eq!(power.ckpt_w, 2.0 * power.compute_w);
+    let WorkloadSource::Custom(classes) = &sc.workload else {
+        panic!("ckpt_mem_fraction installs explicit classes");
+    };
+    let mem = sc.resolve_platform().unwrap().mem_per_node;
+    for c in classes {
+        assert_eq!(c.ckpt_bytes, mem * (c.q_nodes as f64 * 0.5));
+    }
+}
+
+#[test]
 fn plain_scenario_files_are_one_point_suites() {
     let suite = Suite::load(preset_path("cielo_baseline")).expect("plain scenario loads");
     let points = suite.expand().expect("expands");
@@ -201,6 +229,12 @@ fn bad_suites_are_rejected_with_field_context() {
         (
             r#"{"grid": {"local_failure_share": [1.5]}}"#,
             "local_failure_share",
+        ),
+        (r#"{"grid": {"power_ratio": [0]}}"#, "power_ratio"),
+        // Document-order application would silently drop the scale.
+        (
+            r#"{"grid": {"ckpt_mem_fraction": [0.5], "workload": ["apex"]}}"#,
+            "ckpt_mem_fraction",
         ),
         (r#"{"base": {}, "rocket": 1}"#, "rocket"),
         (r#"{"base": {}, "scenarios": "nope"}"#, "scenarios"),

@@ -213,7 +213,7 @@ fn golden_sweep_mtbf() {
         &inline_sweep(
             r#"{"name": "sweep-mtbf", "platform": {"preset": "cielo", "bandwidth_gbps": 40},
                 "power": "cielo", "span_days": 2, "samples": 2, "seed": 1,
-                "sweep": {"axis": "mtbf", "values": [2, 20]}}"#,
+                "sweep": {"axis": "mtbf_years", "values": [2, 20]}}"#,
         ),
     );
 }
@@ -238,7 +238,7 @@ fn golden_sweep_weibull_shape() {
             r#"{"name": "sweep-weibull-shape",
                 "platform": {"preset": "cielo", "bandwidth_gbps": 40},
                 "span_days": 2, "samples": 2, "seed": 1,
-                "sweep": {"axis": "weibull-shape", "values": [0.7, 1.5]}}"#,
+                "sweep": {"axis": "weibull_shape", "values": [0.7, 1.5]}}"#,
         ),
     );
 }
@@ -251,7 +251,7 @@ fn golden_sweep_power_ratio() {
             r#"{"name": "sweep-power-ratio",
                 "platform": {"preset": "cielo", "bandwidth_gbps": 40}, "power": "cielo",
                 "span_days": 2, "samples": 2, "seed": 1,
-                "sweep": {"axis": "power-ratio", "values": [0.5, 2]}}"#,
+                "sweep": {"axis": "power_ratio", "values": [0.5, 2]}}"#,
         ),
     );
 }
@@ -270,7 +270,7 @@ fn golden_sweep_local_failure_share() {
                     {"name": "system", "share": 0.5, "severity": "system"}
                 ],
                 "span_days": 2, "samples": 2, "seed": 1,
-                "sweep": {"axis": "local-failure-share", "values": [0, 0.5]}}"#,
+                "sweep": {"axis": "local_failure_share", "values": [0, 0.5]}}"#,
         ),
     );
 }
