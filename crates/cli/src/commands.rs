@@ -9,6 +9,10 @@ use crate::args::Args;
 use coopckpt::experiments::run_scenario;
 use coopckpt::json::Json;
 use coopckpt::prelude::*;
+use coopckpt_model::{
+    class_restore_costs, daly_period_energy, expected_restore_cost, steady_state_waste_mix,
+    young_daly_period,
+};
 use coopckpt_theory::{lower_bound, ClassParams};
 use coopckpt_workload::{classes_for, APEX_SPECS};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,7 +28,9 @@ USAGE:
 COMMANDS:
   table1      Print the APEX workload (paper Table 1) with derived
               checkpoint costs and Daly periods.
-  theory      Evaluate the Section-4 lower bound (Theorem 1).
+  theory      Evaluate the Section-4 lower bound (Theorem 1), plus the
+              energy-optimal periods (with a power model) and the
+              multi-level restore costs (with failure classes).
   run         Execute one scenario: Monte-Carlo simulate one strategy at
               one operating point (or the file's sweep, if it has one).
   sweep       Sweep one scenario field (an axis: bandwidth, MTBF, tier
@@ -76,6 +82,7 @@ EXAMPLES:
   coopckpt run --scenario scenarios/cielo_baseline.json --format json
   coopckpt trace --strategy least-waste --span-days 2 --bandwidth 40
   coopckpt theory --bandwidth 40 --format json
+  coopckpt theory --scenario scenarios/multilevel_recovery.json
   coopckpt run --strategy ordered-nb-daly --bandwidth 40 --samples 20
   coopckpt run --strategy tiered --tiers 3 --bandwidth 40
   coopckpt run --scenario scenarios/multilevel_recovery.json --format json
@@ -155,7 +162,7 @@ EXAMPLES:
   coopckpt run --strategy tiered --tiers 3 --bandwidth 40 --samples 20
   coopckpt run --tiers 3 --failure-classes node:0.6:1,system:0.4:system
   coopckpt run --scenario scenarios/multilevel_recovery.json --format json
-  coopckpt run --scenario scenarios/weibull_ablation.json --samples 50
+  coopckpt run --scenario scenarios/ablation_weibull.json --samples 50
   coopckpt run --scenario scenarios/energy_tradeoff.json --format json
   coopckpt run --workload scenarios/traces/sample_1k.csv --span-days 14
   coopckpt run --workload synthetic:jobs=5000,projects=12,seed=3
@@ -183,8 +190,10 @@ the *energy* waste ratio (Aupy et al. time-vs-energy trade-off).
 FLAGS:
   --scenario <file>    load a scenario file; flags below override fields
   --axis <key>         the swept axis (see above)     [bandwidth_gbps]
-  --values a,b,c       swept values; without it, the scenario file's
-                       values for this axis, else the axis defaults:
+  --values a,b,c       swept values (specs on the text axes, e.g.
+                       interference: linear,degraded:0.5,equal); without
+                       it, the scenario file's values for this axis, else
+                       the axis defaults:
                        [bandwidth_gbps: 40..160; mtbf_years: 2..50;
                         tiers: 0..3; weibull_shape: 0.5..2;
                         power_ratio: 0.25..4; local_failure_share:
@@ -218,6 +227,7 @@ EXAMPLES:
   coopckpt sweep --axis power_ratio --power cielo --bandwidth 40
   coopckpt sweep --axis local_failure_share --tiers 3 --bandwidth 40
   coopckpt sweep --axis ckpt_mem_fraction --platform exascale --samples 20
+  coopckpt sweep --axis interference --values linear,degraded:0.5 --bandwidth 40
   coopckpt sweep --scenario scenarios/cielo_baseline.json --axis mtbf_years
 ";
 
@@ -656,7 +666,16 @@ pub fn table1(args: &Args) -> CmdResult {
 
 /// `coopckpt theory`
 pub fn theory(args: &Args) -> CmdResult {
-    let sc = scenario_from(args)?;
+    emit(&theory_report(&scenario_from(args)?)?, args)
+}
+
+/// The closed forms at the scenario's operating point: the Theorem 1
+/// bound and the per-class periods. A power model adds each class's
+/// energy-optimal period `P_E` (Aupy et al.) to `periods`; failure
+/// classes add a `recovery` section with each failure class's restore
+/// cost on the compiled tier stack, their expected restore cost, and the
+/// Eq. (3) waste of the mix at the Young/Daly period.
+fn theory_report(sc: &Scenario) -> Result<Report, Box<dyn std::error::Error>> {
     let platform = sc.resolve_platform()?;
     let classes = sc.resolve_classes(&platform)?;
     let params: Vec<ClassParams> = classes
@@ -675,17 +694,63 @@ pub fn theory(args: &Args) -> CmdResult {
             Cell::f4(lb.waste),
             Cell::f4(lb.efficiency()),
         ]);
-    let periods = report.section("periods", ["class", "p_daly_min", "p_opt_min", "stretched"]);
+    if let Some(power) = &sc.power {
+        power.validate()?;
+    }
+    let mut columns = vec!["class", "p_daly_min", "p_opt_min", "stretched"];
+    if sc.power.is_some() {
+        columns.push("p_energy_min");
+    }
+    let periods = report.section("periods", columns);
     for ((cp, period), class) in params.iter().zip(&lb.periods).zip(&classes) {
         let daly = coopckpt_theory::period_for_lambda(&platform, cp, 0.0);
-        periods.row([
+        let mut row = vec![
             Cell::text(class.name.clone()),
             Cell::float(daly.as_secs() / 60.0, 1),
             Cell::float(period.as_secs() / 60.0, 1),
             Cell::float(period.as_secs() / daly.as_secs(), 2),
-        ]);
+        ];
+        if let Some(power) = &sc.power {
+            let c = class.ckpt_duration(platform.pfs_bandwidth);
+            let p_energy =
+                daly_period_energy(c, class.mtbf(&platform), power.ckpt_w, power.compute_w);
+            row.push(Cell::float(p_energy.as_secs() / 60.0, 1));
+        }
+        periods.row(row);
     }
-    emit(&report, args)
+    let mix = &sc.failure_classes;
+    if !mix.is_empty() {
+        let tiers = sc.clone().into_config()?.tiers;
+        let shares: Vec<f64> = mix.iter().map(|f| f.share).collect();
+        let severities: Vec<usize> = mix.iter().map(|f| f.severity).collect();
+        let mut columns = vec!["class".to_string()];
+        columns.extend(mix.iter().map(|f| format!("r_{}_secs", f.name)));
+        columns.extend(["expected_r_secs".into(), "waste_at_p_daly".into()]);
+        let recovery = report.section("recovery", columns);
+        for class in &classes {
+            // Node-local tiers restore at their per-node rate times the
+            // job's node count.
+            let q = class.q_nodes as f64;
+            let bws: Vec<Bandwidth> = tiers
+                .iter()
+                .map(|t| t.write_bw * if t.per_writer_node { q } else { 1.0 })
+                .collect();
+            let costs =
+                class_restore_costs(class.ckpt_bytes, &bws, platform.pfs_bandwidth, &severities);
+            let c = class.ckpt_duration(platform.pfs_bandwidth);
+            let mu = class.mtbf(&platform);
+            let waste = steady_state_waste_mix(c, young_daly_period(c, mu), mu, &shares, &costs);
+            let mut row = vec![Cell::text(class.name.clone())];
+            row.extend(costs.iter().map(|r| Cell::float(r.as_secs(), 1)));
+            row.push(Cell::float(
+                expected_restore_cost(&shares, &costs).as_secs(),
+                1,
+            ));
+            row.push(Cell::f4(waste));
+            recovery.row(row);
+        }
+    }
+    Ok(report)
 }
 
 /// `coopckpt run` — the scenario front door: a single operating point, or
@@ -713,8 +778,14 @@ fn sweep_scenario_from(args: &Args) -> Result<Scenario, Box<dyn std::error::Erro
         .get("axis")
         .or(file_axis.as_ref().map(Axis::key))
         .unwrap_or("bandwidth_gbps");
-    let values = match args.get_f64_list("values")? {
-        Some(values) => Some(Json::Arr(values.into_iter().map(Json::Num).collect())),
+    let values = match args.get("values") {
+        // A list of numbers feeds the numeric axes; any other list goes
+        // on as text (the `interference` and `workload` specs), and
+        // `Axis::sweep` validates either against the axis.
+        Some(raw) => Some(Json::Arr(match args.get_f64_list("values") {
+            Ok(Some(numbers)) => numbers.into_iter().map(Json::Num).collect(),
+            _ => raw.split(',').map(|s| Json::str(s.trim())).collect(),
+        })),
         None => file_axis
             .filter(|axis| axis.key() == key)
             .map(|axis| axis.values_json()),
@@ -957,6 +1028,32 @@ mod tests {
     }
 
     #[test]
+    fn negative_degraded_exponent_is_an_error_not_a_panic() {
+        let a = args(&[
+            "run",
+            "--interference",
+            "degraded:-1",
+            "--samples",
+            "1",
+            "--span-days",
+            "1",
+        ]);
+        let e = run(&a).expect_err("negative exponent flag").to_string();
+        assert!(e.contains("non-negative"), "{e}");
+        let e = Scenario::parse(r#"{"interference": "degraded:-0.5"}"#)
+            .expect_err("negative exponent in a scenario")
+            .to_string();
+        assert!(
+            e.contains("interference") && e.contains("non-negative"),
+            "{e}"
+        );
+        let e = Suite::parse(r#"{"grid": {"interference": ["degraded:-1"]}}"#)
+            .expect_err("negative exponent on the grid axis")
+            .to_string();
+        assert!(e.contains("grid.interference"), "{e}");
+    }
+
+    #[test]
     fn out_of_range_sweep_values_are_errors_not_panics() {
         for (axis, value) in [("bandwidth_gbps", "-40"), ("mtbf_years", "0")] {
             let a = args(&["sweep", "--axis", axis, "--values", value, "--samples", "1"]);
@@ -1003,51 +1100,147 @@ mod tests {
     fn sweep_grid_and_run_agree_on_a_tiered_point() {
         // Geometric tiers scale with the PFS bandwidth, so every front
         // door must size them from the point's 40 GB/s, not the preset's.
-        let common = [
-            "--tiers",
-            "3",
-            "--span-days",
-            "2",
-            "--samples",
-            "2",
-            "--seed",
-            "1",
-        ];
-        let with = |head: &[&str]| args(&[head, &common[..]].concat());
-        let swept = sweep_scenario_from(&with(&[
-            "sweep",
-            "--axis",
-            "bandwidth_gbps",
-            "--values",
-            "40",
-        ]))
-        .unwrap();
-        let sweep_report = run_scenario(&swept).unwrap();
-        let suite = Suite::parse(
-            r#"{"base": {"tiers": 3, "span_days": 2, "samples": 2, "seed": 1},
-                "grid": {"strategy": ["least-waste", "ordered-daly"], "bandwidth_gbps": [40]}}"#,
-        )
-        .unwrap();
-        let grid = suite.expand().unwrap();
-        for (i, (strategy, series)) in [
-            ("least-waste", "Least-Waste"),
-            ("ordered-daly", "Ordered-Daly"),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let single =
-                scenario_from(&with(&["run", "--bandwidth", "40", "--strategy", strategy]))
-                    .unwrap();
-            let run_mean = mean_waste(&run_scenario(&single).unwrap(), series);
-            let grid_mean = mean_waste(&run_scenario(&grid[i]).unwrap(), series);
-            assert_eq!(
-                mean_waste(&sweep_report, series),
-                run_mean,
-                "{series}: sweep vs run"
-            );
-            assert_eq!(grid_mean, run_mean, "{series}: grid vs run");
+        // The second case runs a text-valued axis the same three ways.
+        let tiered = (["--tiers", "3"], r#""tiers": 3"#);
+        let bw40 = (
+            ["--bandwidth", "40"],
+            r#""platform": {"preset": "cielo", "bandwidth_gbps": 40}"#,
+        );
+        for ((base_flags, base_json), axis, flag, value, grid_value) in [
+            (tiered, "bandwidth_gbps", "--bandwidth", "40", "40"),
+            (
+                bw40,
+                "interference",
+                "--interference",
+                "degraded:0.5",
+                r#""degraded:0.5""#,
+            ),
+        ] {
+            let sampling = ["--span-days", "2", "--samples", "2", "--seed", "1"];
+            let with = |head: &[&str]| args(&[head, &base_flags, &sampling].concat());
+            let swept =
+                sweep_scenario_from(&with(&["sweep", "--axis", axis, "--values", value])).unwrap();
+            let sweep_report = run_scenario(&swept).unwrap();
+            let suite = Suite::parse(&format!(
+                r#"{{"base": {{{base_json}, "span_days": 2, "samples": 2, "seed": 1}},
+                    "grid": {{"strategy": ["least-waste", "ordered-daly", "oblivious-daly"],
+                              "{axis}": [{grid_value}]}}}}"#
+            ))
+            .unwrap();
+            let grid = suite.expand().unwrap();
+            for (i, (strategy, series)) in [
+                ("least-waste", "Least-Waste"),
+                ("ordered-daly", "Ordered-Daly"),
+                ("oblivious-daly", "Oblivious-Daly"),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let single =
+                    scenario_from(&with(&["run", flag, value, "--strategy", strategy])).unwrap();
+                let run_mean = mean_waste(&run_scenario(&single).unwrap(), series);
+                let grid_mean = mean_waste(&run_scenario(&grid[i]).unwrap(), series);
+                assert_eq!(
+                    mean_waste(&sweep_report, series),
+                    run_mean,
+                    "{axis} {series}: sweep vs run"
+                );
+                assert_eq!(grid_mean, run_mean, "{axis} {series}: grid vs run");
+            }
         }
+    }
+
+    fn preset(name: &str) -> String {
+        format!("{}/../../scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    /// Column `column` of section `section`, one value per row.
+    fn column(report: &Report, section: &str, column: &str) -> Vec<f64> {
+        let s = report
+            .sections
+            .iter()
+            .find(|s| s.name == section)
+            .unwrap_or_else(|| panic!("no {section} section"));
+        let at = s.columns.iter().position(|c| c == column).unwrap();
+        s.rows
+            .iter()
+            .map(|row| match &row[at] {
+                Cell::Float { value, .. } => *value,
+                other => panic!("expected a float, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn theory_reports_the_energy_optimal_period() {
+        let sc = Scenario::load(preset("energy_tradeoff")).unwrap();
+        let report = theory_report(&sc).unwrap();
+        let power = sc.power.unwrap();
+        let platform = sc.resolve_platform().unwrap();
+        let expected: Vec<f64> = sc
+            .resolve_classes(&platform)
+            .unwrap()
+            .iter()
+            .map(|c| {
+                let ckpt = c.ckpt_bytes.transfer_time(platform.pfs_bandwidth);
+                let mu = platform.job_mtbf(c.q_nodes);
+                daly_period_energy(ckpt, mu, power.ckpt_w, power.compute_w).as_secs() / 60.0
+            })
+            .collect();
+        assert_eq!(column(&report, "periods", "p_energy_min"), expected);
+        assert!(report.sections.iter().all(|s| s.name != "recovery"));
+    }
+
+    #[test]
+    fn theory_reports_the_recovery_mix_waste() {
+        let sc = Scenario::load(preset("multilevel_recovery")).unwrap();
+        let report = theory_report(&sc).unwrap();
+        let platform = sc.resolve_platform().unwrap();
+        let TiersSpec::Geometric(depth) = sc.tiers else {
+            panic!("premise: the preset asks for a geometric stack");
+        };
+        let tiers = geometric_tiers(&platform, depth);
+        let shares: Vec<f64> = sc.failure_classes.iter().map(|f| f.share).collect();
+        let severities: Vec<usize> = sc.failure_classes.iter().map(|f| f.severity).collect();
+        let expected: Vec<f64> = sc
+            .resolve_classes(&platform)
+            .unwrap()
+            .iter()
+            .map(|c| {
+                let q = c.q_nodes as f64;
+                let bws: Vec<Bandwidth> = tiers
+                    .iter()
+                    .map(|t| t.write_bw * if t.per_writer_node { q } else { 1.0 })
+                    .collect();
+                let costs =
+                    class_restore_costs(c.ckpt_bytes, &bws, platform.pfs_bandwidth, &severities);
+                let ckpt = c.ckpt_bytes.transfer_time(platform.pfs_bandwidth);
+                let mu = platform.job_mtbf(c.q_nodes);
+                steady_state_waste_mix(ckpt, young_daly_period(ckpt, mu), mu, &shares, &costs)
+            })
+            .collect();
+        assert_eq!(column(&report, "recovery", "waste_at_p_daly"), expected);
+        let periods = report
+            .sections
+            .iter()
+            .find(|s| s.name == "periods")
+            .unwrap();
+        assert!(!periods.columns.iter().any(|c| c == "p_energy_min"));
+    }
+
+    #[test]
+    fn theory_on_a_plain_scenario_renders_as_before() {
+        let report =
+            theory_report(&scenario_from(&args(&["theory", "--bandwidth", "40"])).unwrap())
+                .unwrap();
+        assert_eq!(
+            report.render(OutputFormat::Text),
+            include_str!("../../../tests/golden/theory_cielo_40.txt")
+        );
+        assert_eq!(
+            report.render(OutputFormat::Json),
+            include_str!("../../../tests/golden/theory_cielo_40.json")
+        );
     }
 
     #[test]

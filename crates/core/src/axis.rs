@@ -11,14 +11,14 @@
 use crate::experiments::local_failure_mix;
 use crate::json::Json;
 use crate::scenario::{Scenario, ScenarioError, WorkloadSource, MAX_TIER_DEPTH};
-use crate::sim::{FailureModel, PowerModel};
+use crate::sim::{FailureModel, InterferenceKind, PowerModel};
 use crate::strategy::{CheckpointPolicy, Strategy};
 use coopckpt_des::Duration;
 use coopckpt_model::{AppClass, Bytes};
 
 /// Every axis key: the suite `grid` keys, the sweep `"axis"` values, the
 /// `sweep --axis` values, and the x-column header of sweep reports.
-pub const AXIS_KEYS: [&str; 12] = [
+pub const AXIS_KEYS: [&str; 13] = [
     "strategy",
     "bandwidth_gbps",
     "mtbf_years",
@@ -31,6 +31,7 @@ pub const AXIS_KEYS: [&str; 12] = [
     "weibull_shape",
     "power_ratio",
     "ckpt_mem_fraction",
+    "interference",
 ];
 
 /// One scenario field and the values it takes, in document order.
@@ -71,6 +72,9 @@ pub enum Axis {
     /// workload with its classes at checkpoint volume `f × q_nodes ×
     /// mem_per_node`. Values live in `(0, 1]`.
     CkptMemFraction(Vec<f64>),
+    /// PFS interference models (the `--interference` grammar: `linear`,
+    /// `degraded:<a>`, `equal`; paper footnote 2).
+    Interference(Vec<InterferenceKind>),
 }
 
 fn invalid(field: &str, message: impl Into<String>) -> ScenarioError {
@@ -112,6 +116,7 @@ impl Axis {
             Axis::WeibullShape(_) => "weibull_shape",
             Axis::PowerRatio(_) => "power_ratio",
             Axis::CkptMemFraction(_) => "ckpt_mem_fraction",
+            Axis::Interference(_) => "interference",
         }
     }
 
@@ -122,6 +127,7 @@ impl Axis {
             Axis::Tiers(v) | Axis::Samples(v) => v.len(),
             Axis::Seed(v) => v.len(),
             Axis::Workload(v) => v.len(),
+            Axis::Interference(v) => v.len(),
             Axis::BandwidthGbps(v)
             | Axis::MtbfYears(v)
             | Axis::SpanDays(v)
@@ -139,10 +145,10 @@ impl Axis {
     }
 
     /// Value `i` as a number, `None` on the text-valued axes (`strategy`,
-    /// `workload`).
+    /// `workload`, `interference`).
     pub(crate) fn number(&self, i: usize) -> Option<f64> {
         match self {
-            Axis::Strategy(_) | Axis::Workload(_) => None,
+            Axis::Strategy(_) | Axis::Workload(_) | Axis::Interference(_) => None,
             Axis::Tiers(v) | Axis::Samples(v) => Some(v[i] as f64),
             Axis::Seed(v) => Some(v[i] as f64),
             Axis::BandwidthGbps(v)
@@ -161,6 +167,7 @@ impl Axis {
         match self {
             Axis::Strategy(v) => v[i].spec_name(),
             Axis::Workload(v) => v[i].clone(),
+            Axis::Interference(v) => v[i].spec_name(),
             Axis::Seed(v) => v[i].to_string(),
             Axis::Tiers(v) | Axis::Samples(v) => v[i].to_string(),
             _ => format!("{}", self.number(i).expect("numeric axis")),
@@ -172,7 +179,9 @@ impl Axis {
         Json::Arr(
             (0..self.len())
                 .map(|i| match self {
-                    Axis::Strategy(_) | Axis::Workload(_) => Json::str(self.label(i)),
+                    Axis::Strategy(_) | Axis::Workload(_) | Axis::Interference(_) => {
+                        Json::str(self.label(i))
+                    }
                     _ => Json::Num(self.number(i).expect("numeric axis")),
                 })
                 .collect(),
@@ -240,6 +249,12 @@ impl Axis {
             "workload" => Axis::Workload(strings(
                 "workload specs (\"apex\", a trace path, or synthetic:...)",
             )?),
+            "interference" => Axis::Interference(
+                strings("interference specs (linear|degraded:<a>|equal)")?
+                    .iter()
+                    .map(|s| s.parse().map_err(|e: String| invalid(field, e)))
+                    .collect::<Result<_, _>>()?,
+            ),
             _ => return Err(unknown_key(key, field)),
         })
     }
@@ -315,6 +330,7 @@ impl Axis {
                 sc
             }
             Axis::WeibullShape(v) => sc.with_failures(FailureModel::Weibull(v[i])),
+            Axis::Interference(v) => sc.with_interference(v[i]),
             Axis::PowerRatio(v) => {
                 let base = sc.power.unwrap_or_else(PowerModel::cielo);
                 let draw = base.compute_w * v[i];
@@ -394,6 +410,7 @@ mod tests {
             let values = match key {
                 "strategy" => Json::Arr(vec![Json::str("least-waste"), Json::str("tiered")]),
                 "workload" => Json::Arr(vec![Json::str("apex")]),
+                "interference" => Json::Arr(vec![Json::str("degraded:0.5"), Json::str("equal")]),
                 _ => arr(&[1.0]),
             };
             let axis = Axis::parse(key, &values, "grid").unwrap();
@@ -437,6 +454,13 @@ mod tests {
                 "{text}"
             );
         }
+        let bad = Json::Arr(vec![Json::str("degraded:-1")]);
+        let e = Axis::parse("interference", &bad, "grid.interference").unwrap_err();
+        let text = e.to_string();
+        assert!(
+            text.contains("grid.interference") && text.contains("non-negative"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -489,5 +513,8 @@ mod tests {
         assert_eq!(Axis::LocalFailureShare(vec![0.0]).roster().len(), 8);
         assert!(Axis::PowerRatio(vec![1.0]).energy_metric());
         assert!(Axis::CkptMemFraction(vec![1.0]).has_bound());
+        let interference = Axis::Interference(vec![InterferenceKind::Equal]);
+        assert!(!interference.has_bound() && !interference.energy_metric());
+        assert_eq!(interference.roster().len(), 7);
     }
 }

@@ -40,8 +40,7 @@ use crate::axis::Axis;
 use crate::json::{Json, JsonError};
 use crate::montecarlo::MonteCarloConfig;
 use crate::sim::{
-    geometric_tiers, BurstBufferSpec, FailureClass, FailureModel, InterferenceKind, PowerModel,
-    SimConfig, TierSpec,
+    geometric_tiers, FailureClass, FailureModel, InterferenceKind, PowerModel, SimConfig, TierSpec,
 };
 use crate::strategy::Strategy;
 use coopckpt_des::Duration;
@@ -260,8 +259,6 @@ pub struct Scenario {
     pub regular_io_chunks: Option<usize>,
     /// Override for [`SimConfig::workload_slack`].
     pub workload_slack: Option<f64>,
-    /// Optional single burst-buffer tier (the pre-hierarchy API).
-    pub burst_buffer: Option<BurstBufferSpec>,
     /// Optional power model: when present, runs meter per-phase energy
     /// and reports carry energy sections (None = the paper's time-only
     /// accounting).
@@ -294,7 +291,6 @@ impl Default for Scenario {
             measure_margin: None,
             regular_io_chunks: None,
             workload_slack: None,
-            burst_buffer: None,
             power: None,
         }
     }
@@ -570,9 +566,6 @@ impl Scenario {
             }
             config.workload_slack = slack;
         }
-        if let Some(bb) = self.burst_buffer {
-            config = config.with_burst_buffer(bb);
-        }
         if let Some(power) = self.power {
             power
                 .validate()
@@ -612,7 +605,6 @@ impl Scenario {
             measure_margin: Some(config.measure_margin),
             regular_io_chunks: Some(config.regular_io_chunks),
             workload_slack: Some(config.workload_slack),
-            burst_buffer: config.burst_buffer,
             power: config.power,
             ..Scenario::default()
         }
@@ -695,18 +687,6 @@ impl Scenario {
         if let Some(slack) = self.workload_slack {
             pairs.push(("workload_slack".into(), Json::Num(slack)));
         }
-        if let Some(bb) = &self.burst_buffer {
-            pairs.push((
-                "burst_buffer".into(),
-                Json::obj([
-                    ("capacity_bytes", Json::Num(bb.capacity.as_bytes())),
-                    (
-                        "write_bw_per_node_bytes_per_sec",
-                        Json::Num(bb.write_bw_per_node.as_bytes_per_sec()),
-                    ),
-                ]),
-            ));
-        }
         if let Some(power) = &self.power {
             pairs.push(("power".into(), power_to_json(power)));
         }
@@ -752,7 +732,6 @@ impl Scenario {
                 "measure_margin_days",
                 "regular_io_chunks",
                 "workload_slack",
-                "burst_buffer",
                 "power",
             ],
             "",
@@ -845,9 +824,6 @@ impl Scenario {
         }
         if let Some(slack) = opt_f64(pairs, "workload_slack")? {
             sc.workload_slack = Some(slack);
-        }
-        if let Some(bb) = field(pairs, "burst_buffer") {
-            sc.burst_buffer = Some(burst_buffer_from_json(bb)?);
         }
         if let Some(pw) = field(pairs, "power") {
             sc.power = Some(power_from_json(pw)?);
@@ -1425,48 +1401,6 @@ fn failure_classes_from_json(v: &Json) -> Result<Vec<FailureClass>, ScenarioErro
     Ok(classes)
 }
 
-fn burst_buffer_from_json(v: &Json) -> Result<BurstBufferSpec, ScenarioError> {
-    let pairs = as_object(v, "burst_buffer")?;
-    check_keys(
-        pairs,
-        &[
-            "capacity_bytes",
-            "capacity_gb",
-            "write_bw_per_node_bytes_per_sec",
-            "write_bw_per_node_gbps",
-        ],
-        "burst_buffer",
-    )?;
-    let capacity = alt_quantity(
-        pairs,
-        ("capacity_bytes", Bytes::new as fn(f64) -> Bytes),
-        ("capacity_gb", Bytes::from_gb),
-        "burst_buffer",
-    )?
-    .ok_or_else(|| {
-        ScenarioError::invalid("burst_buffer.capacity_gb", "required field is missing")
-    })?;
-    let write_bw_per_node = alt_quantity(
-        pairs,
-        (
-            "write_bw_per_node_bytes_per_sec",
-            Bandwidth::new as fn(f64) -> Bandwidth,
-        ),
-        ("write_bw_per_node_gbps", Bandwidth::from_gbps),
-        "burst_buffer",
-    )?
-    .ok_or_else(|| {
-        ScenarioError::invalid(
-            "burst_buffer.write_bw_per_node_gbps",
-            "required field is missing",
-        )
-    })?;
-    Ok(BurstBufferSpec {
-        capacity,
-        write_bw_per_node,
-    })
-}
-
 fn power_to_json(p: &PowerModel) -> Json {
     Json::obj([
         ("idle_w", Json::Num(p.idle_w)),
@@ -1634,7 +1568,6 @@ mod tests {
         assert_eq!(cfg.failures, base.failures);
         assert_eq!(cfg.regular_io_chunks, base.regular_io_chunks);
         assert_eq!(cfg.workload_slack, base.workload_slack);
-        assert_eq!(cfg.burst_buffer, base.burst_buffer);
         assert_eq!(cfg.tiers, base.tiers);
 
         // And the scenario itself survives a JSON hop.
@@ -1714,14 +1647,13 @@ mod tests {
     }
 
     #[test]
-    fn explicit_tiers_and_burst_buffer_parse() {
+    fn explicit_tiers_parse() {
         let sc = Scenario::parse(
             r#"{
                 "tiers": [
                     {"name": "local", "capacity_gb": 100, "write_bw_gbps": 2, "per_writer_node": true},
                     {"name": "bb", "capacity_gb": 1000, "write_bw_gbps": 500}
-                ],
-                "burst_buffer": {"capacity_gb": 50, "write_bw_per_node_gbps": 1}
+                ]
             }"#,
         )
         .unwrap();
@@ -1731,7 +1663,6 @@ mod tests {
         assert_eq!(tiers.len(), 2);
         assert!(tiers[0].per_writer_node);
         assert!(!tiers[1].per_writer_node);
-        assert_eq!(sc.burst_buffer.unwrap().capacity, Bytes::from_gb(50.0));
         let back = Scenario::parse(&sc.to_json_string()).unwrap();
         assert_eq!(back, sc);
     }

@@ -274,3 +274,16 @@ fn golden_sweep_local_failure_share() {
         ),
     );
 }
+
+#[test]
+fn golden_sweep_interference() {
+    check_golden_scenario(
+        "sweep_interference",
+        &inline_sweep(
+            r#"{"name": "sweep-interference",
+                "platform": {"preset": "cielo", "bandwidth_gbps": 40},
+                "span_days": 2, "samples": 2, "seed": 1,
+                "sweep": {"axis": "interference", "values": ["linear", "degraded:0.5"]}}"#,
+        ),
+    );
+}
