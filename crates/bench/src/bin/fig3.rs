@@ -3,12 +3,12 @@
 //! 7 PB / 50,000-node system, as the node MTBF varies (5 → 25 years).
 //!
 //! The one figure that is not a scenario preset: a bandwidth bisection
-//! per strategy per MTBF point. Environment variables scale it:
-//! `COOPCKPT_SAMPLES` (Monte-Carlo instances per point, default 100),
-//! `COOPCKPT_SPAN_DAYS` (simulated span, default 60), `COOPCKPT_THREADS`
-//! (0 = all cores, the default) and `COOPCKPT_BISECT_ITERS` (bisection
-//! steps, default 7). A malformed value, or a zero sample count, span or
-//! step count, exits non-zero naming the variable.
+//! per strategy per MTBF point, run on one thread per core. Environment
+//! variables scale it: `COOPCKPT_SAMPLES` (Monte-Carlo instances per
+//! point, default 100), `COOPCKPT_SPAN_DAYS` (simulated span, default 60)
+//! and `COOPCKPT_BISECT_ITERS` (bisection steps, default 7). A malformed
+//! value, or a zero sample count, span or step count, exits non-zero
+//! naming the variable.
 //!
 //! ```sh
 //! COOPCKPT_SAMPLES=20 COOPCKPT_SPAN_DAYS=20 \
@@ -55,9 +55,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let span_days: f64 = env("COOPCKPT_SPAN_DAYS", 60.0, |&d: &f64| {
         d.is_finite() && d > 0.0
     })?;
-    let threads: usize = env("COOPCKPT_THREADS", 0, |_| true)?;
     let iters: u32 = env("COOPCKPT_BISECT_ITERS", 7, |&n| n > 0)?;
-    let mc = MonteCarloConfig::new(samples).with_threads(threads);
+    let mc = MonteCarloConfig::new(samples);
     let target = 0.80;
     let (lo, hi) = (200.0, 200_000.0); // GB/s search bracket
     let tbps = |found: Option<f64>| match found {

@@ -6,7 +6,6 @@
 //! unified [`Report`] type, so text, CSV and JSON output share one writer.
 
 use crate::args::Args;
-use coopckpt::experiments::run_scenario;
 use coopckpt::json::Json;
 use coopckpt::prelude::*;
 use coopckpt_model::{
@@ -72,10 +71,13 @@ COMMON FLAGS:
                                  failure severity mix; severity = number of
                                  storage levels a strike wipes, or 'system'
   --power cielo|prospective|none                         [none]
+  --threads <n>                  total simulation threads of run,
+                                 sweep and suite; 0 = one per core  [0]
   --telemetry <out.jsonl>        record engine/queue/cache counters and
                                  phase timings; one JSON-lines journal
                                  record per completed point (or set
-                                 COOPCKPT_TELEMETRY)
+                                 COOPCKPT_TELEMETRY); reports are
+                                 unchanged
   --format text|csv|json                                 [text]
 
 EXAMPLES:
@@ -111,7 +113,9 @@ strategy and reports candlestick statistics (mean, deciles, quartiles,
 median) of the platform waste ratio plus utilization and event-count
 summaries. When the scenario file declares a sweep axis, `run` executes
 the whole sweep (so every checked-in scenario runs with this one
-subcommand).
+subcommand). The scenario runs as a one-point campaign on the same
+runner as `coopckpt suite`, so the report is bit-identical at any
+`--threads` and with telemetry on or off.
 
 FLAGS:
   --scenario <file>    load a scenario file; flags below override fields
@@ -147,10 +151,11 @@ FLAGS:
                        token-free.             [system:1:system]
   --power <model>      meter per-phase energy under a power model:
                        cielo|prospective|none              [none]
-  --telemetry <file>   write a JSON-lines run journal and append a
-                       `telemetry` report section (counters, phase
-                       timings, sample quantiles); simulation results are
-                       bit-identical with or without it    [off]
+  --threads <n>        total simulation threads; 0 = one per core; a
+                       runner setting, never part of the report  [0]
+  --telemetry <file>   write one JSON-lines journal record for the run
+                       (counters, phase timings, sample quantiles,
+                       histograms); the report is unchanged  [off]
   --format text|csv|json                                  [text]
 
 With `--power` (or a scenario `power` block) the report gains energy
@@ -202,7 +207,7 @@ FLAGS:
   --seed <n>           base seed                           [1]
   --power <model>      base power model for power_ratio    [cielo]
   --platform, --bandwidth, --mtbf-years, --span-days, --interference,
-  --failures, --failure-classes, --telemetry, --format as in
+  --failures, --failure-classes, --threads, --telemetry, --format as in
   `coopckpt run --help`
 
 Each point applies its value to the scenario and compiles it like `run`
@@ -521,7 +526,6 @@ fn scenario_from(args: &Args) -> Result<Scenario, Box<dyn std::error::Error>> {
     }
     sc.samples = args.get_parsed_or("samples", sc.samples, "an integer")?;
     sc.seed = args.get_parsed_or("seed", sc.seed, "an integer")?;
-    sc.threads = args.get_parsed_or("threads", sc.threads, "an integer")?;
     if let Some(name) = args.get("strategy") {
         sc.strategy = name.parse::<Strategy>()?;
     }
@@ -756,15 +760,37 @@ fn theory_report(sc: &Scenario) -> Result<Report, Box<dyn std::error::Error>> {
 /// `coopckpt run` — the scenario front door: a single operating point, or
 /// the file's sweep when one is declared.
 pub fn run(args: &Args) -> CmdResult {
-    let sc = scenario_from(args)?;
-    let report = run_scenario(&sc)?;
-    emit(&report, args)
+    run_point(scenario_from(args)?, args)
 }
 
 /// `coopckpt sweep`
 pub fn sweep(args: &Args) -> CmdResult {
-    let report = run_scenario(&sweep_scenario_from(args)?)?;
-    emit(&report, args)
+    run_point(sweep_scenario_from(args)?, args)
+}
+
+/// Runs `sc` as a one-point campaign on `--threads` workers (the same
+/// runner as `suite`, minus the result cache) and prints its report.
+fn run_point(sc: Scenario, args: &Args) -> CmdResult {
+    let format = format_from(args, OutputFormat::Text)?;
+    let opts = CampaignOptions {
+        threads: args.get_parsed_or("threads", 0usize, "an integer")?,
+        cache: None,
+        op_cache: None,
+    };
+    let campaign = run_suite(&Suite::single(sc), &opts).map_err(|e| match e {
+        // A lone point's errors read as the scenario's own.
+        CampaignError::Point { source, .. } | CampaignError::Scenario(source) => {
+            Box::<dyn std::error::Error>::from(source)
+        }
+        other => other.into(),
+    })?;
+    let entry = &campaign.entries[0];
+    match format {
+        OutputFormat::Text => print!("{}", entry.text),
+        OutputFormat::Csv => print!("{}", entry.csv),
+        OutputFormat::Json => print!("{}", entry.report.pretty()),
+    }
+    Ok(())
 }
 
 /// [`scenario_from`] plus the sweep: `--axis` (else the scenario file's
@@ -1538,7 +1564,9 @@ mod tests {
             ("run", "--power <model>"),
             ("run", "--workload <source>"),
             ("run", "--telemetry <file>"),
+            ("run", "--threads <n>"),
             ("sweep", "--telemetry"),
+            ("sweep", "--threads"),
             ("sweep", "power_ratio"),
             ("sweep", "weibull_shape"),
             ("sweep", "ckpt_mem_fraction"),

@@ -45,7 +45,7 @@ use crate::experiments::run_scenario_with_cache;
 use crate::json::{Json, JsonError};
 use crate::montecarlo::OpPointCache;
 use crate::report::{Cell, OutputFormat, Report};
-use crate::scenario::{Scenario, ScenarioError};
+use crate::scenario::{threads_key_error, Scenario, ScenarioError};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
@@ -153,6 +153,17 @@ pub struct Suite {
 }
 
 impl Suite {
+    /// The one-point campaign of `scenario` (how `run` and `sweep`
+    /// execute a scenario).
+    pub fn single(scenario: Scenario) -> Suite {
+        Suite {
+            name: scenario.name.clone(),
+            base: Scenario::default(),
+            scenarios: vec![scenario],
+            grid: Vec::new(),
+        }
+    }
+
     /// Parses a suite from JSON text.
     pub fn parse(text: &str) -> Result<Suite, CampaignError> {
         Suite::from_json(&Json::parse(text)?)
@@ -176,15 +187,12 @@ impl Suite {
             .iter()
             .any(|(k, _)| matches!(k.as_str(), "base" | "grid" | "scenarios"));
         if !is_suite {
-            let sc = Scenario::from_json(v)?;
-            return Ok(Suite {
-                name: sc.name.clone(),
-                base: Scenario::default(),
-                scenarios: vec![sc],
-                grid: Vec::new(),
-            });
+            return Ok(Suite::single(Scenario::from_json(v)?));
         }
         for (k, _) in pairs {
+            if k == "threads" {
+                return Err(threads_key_error().into());
+            }
             if !matches!(k.as_str(), "name" | "base" | "grid" | "scenarios") {
                 return Err(CampaignError::invalid(
                     k,
@@ -272,9 +280,7 @@ impl Suite {
     /// product applied to `base` in row-major order (first axis
     /// outermost, auto-named `prefix/axis=value/...`), then the explicit
     /// `scenarios`, deduplicated on canonical scenario JSON keeping the
-    /// first occurrence. The `threads` knob is normalized to `0` on every
-    /// point — execution parallelism belongs to the campaign runner, and
-    /// must never leak into the canonical spec (or the cache key).
+    /// first occurrence.
     ///
     /// Every point is validated before any of them runs, so a bad grid
     /// value fails the whole campaign up front instead of mid-flight.
@@ -320,9 +326,6 @@ impl Suite {
             }
         }
         points.extend(self.scenarios.iter().cloned());
-        for sc in &mut points {
-            sc.threads = 0;
-        }
         let mut seen = HashSet::new();
         points.retain(|sc| seen.insert(sc.to_json_string()));
         for sc in &points {
@@ -366,18 +369,16 @@ fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {
 }
 
 /// The content-addressed cache key of one concrete scenario: 128 bits of
-/// FNV-1a (hex) over [`CACHE_SALT`] plus the canonical scenario JSON with
-/// `threads` normalized out (the runner owns parallelism, and thread
-/// count never changes results).
+/// FNV-1a (hex) over [`CACHE_SALT`] plus the canonical scenario JSON.
+/// The thread count is a runner setting outside the scenario, so it
+/// never reaches the key.
 ///
 /// Canonical serialization does the hygiene work: human-unit spellings
 /// (`span_days` vs `span_secs`, `bandwidth_gbps` vs raw bytes/s) and JSON
 /// field order all collapse to one key, while every result-affecting
 /// field — seed, samples, strategy, any axis — feeds the hash.
 pub fn cache_key(scenario: &Scenario) -> String {
-    let mut sc = scenario.clone();
-    sc.threads = 0;
-    let canonical = format!("{CACHE_SALT}\n{}", sc.to_json_string());
+    let canonical = format!("{CACHE_SALT}\n{}", scenario.to_json_string());
     // Two passes with distinct offset bases: a 64-bit birthday bound is
     // uncomfortable for long-lived caches; 128 bits is not.
     let h1 = fnv1a64(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
@@ -649,17 +650,19 @@ fn run_point(
         }
         coopckpt_obs::count(coopckpt_obs::Counter::ResultCacheMisses, 1);
     }
-    // Points arrive threads-normalized from [`Suite::expand`]; the
-    // runner's parallelism lives in the ambient pool the calling worker
-    // installed, so the scenario (and its report echo) never carries it.
+    // The runner's parallelism lives in the ambient pool the calling
+    // worker installed, never in the scenario or its report echo.
     let report = run_scenario_with_cache(sc, op_cache)?;
-    let entry = CampaignEntry {
-        name: sc.name.clone(),
-        key: key.clone(),
-        report: report.to_json(),
-        text: report.to_text(),
-        csv: report.to_csv(),
-        from_cache: false,
+    let entry = {
+        let _span = coopckpt_obs::span(coopckpt_obs::Phase::Render);
+        CampaignEntry {
+            name: sc.name.clone(),
+            key: key.clone(),
+            report: report.to_json(),
+            text: report.to_text(),
+            csv: report.to_csv(),
+            from_cache: false,
+        }
     };
     if let Some(c) = cache {
         c.store(&key, &entry)?;
@@ -676,11 +679,16 @@ pub fn run_suite(suite: &Suite, opts: &CampaignOptions) -> Result<Campaign, Camp
 /// Executes every expanded point of `suite` across the shared two-level
 /// work-sharing pool and merges the results in expansion order.
 ///
+/// This is how every point runs: `coopckpt run` and `sweep` execute
+/// their scenario as a one-point suite ([`Suite::single`]).
+///
 /// `opts.threads` (0 = one per core) is the **total** simulation thread
-/// count, honored end to end. Each worker claims points through an atomic
-/// cursor and installs the shared [`crate::montecarlo::sim_pool`] as its ambient
-/// pool, so a point's Monte-Carlo batch is enqueued as seed-range chunks
-/// that *every* worker can steal: a one-point suite with 1000 samples
+/// count, honored end to end: the calling thread is worker 0 and
+/// [`coopckpt_sched::exec::Pool::run_workers`] starts the rest. Each
+/// worker claims points through an atomic cursor and installs the shared
+/// [`crate::montecarlo::sim_pool`] as its ambient pool, so a point's
+/// Monte-Carlo batch is enqueued as seed-range chunks that *every*
+/// worker can steal: a one-point suite with 1000 samples
 /// saturates all workers instead of pinning one. Workers that run out of
 /// points keep helping with other points' chunks until the last point
 /// completes. Each point's samples are reduced in seed order, so reports,
@@ -720,80 +728,53 @@ where
     };
     let pool = crate::montecarlo::sim_pool(workers);
     let next = AtomicUsize::new(0);
-    // Points claimed but not yet finished; point-less workers keep
-    // helping until the cursor is exhausted *and* this reaches zero.
-    let active = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<CampaignEntry>>> = Mutex::new((0..n).map(|_| None).collect());
     let failure: Mutex<Option<CampaignError>> = Mutex::new(None);
     // (label, expansion index, record): sorted after the join so journal
     // order is completion-order-independent.
     let journal: Mutex<Vec<(String, usize, Json)>> = Mutex::new(Vec::new());
 
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            // `move` is only for the worker index; everything else is
-            // captured as a shared borrow.
-            let (journal, points, next, active, slots, failure, on_done, pool) = (
-                &journal, &points, &next, &active, &slots, &failure, &on_done, &pool,
-            );
-            scope.spawn(move || {
-                let _ambient = crate::montecarlo::set_ambient_pool(Arc::clone(pool));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    // Each worker claims points until the cursor runs out; `run_workers`
+    // keeps it executing other points' sample chunks until every worker
+    // is done.
+    pool.run_workers(workers, |worker| {
+        let _ambient = crate::montecarlo::set_ambient_pool(Arc::clone(&pool));
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let obs_scope = coopckpt_obs::enabled().then(coopckpt_obs::new_scope);
+            let start = std::time::Instant::now();
+            let result = {
+                let _guard = obs_scope.as_ref().map(coopckpt_obs::enter);
+                run_point(&points[i], opts.cache.as_ref(), op_cache)
+            };
+            match result {
+                Ok(entry) => {
+                    let wall_ms = start.elapsed().as_millis() as u64;
+                    if let Some(scope) = &obs_scope {
+                        let record = crate::telemetry::journal_record(
+                            entry.label(),
+                            start.elapsed().as_secs_f64() * 1e3,
+                            points[i].samples,
+                            entry.from_cache,
+                            worker,
+                            &scope.snapshot(),
+                        );
+                        journal.lock().push((entry.label().to_string(), i, record));
                     }
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let obs_scope = coopckpt_obs::enabled().then(coopckpt_obs::new_scope);
-                    let start = std::time::Instant::now();
-                    let result = {
-                        let _guard = obs_scope.as_ref().map(coopckpt_obs::enter);
-                        run_point(&points[i], opts.cache.as_ref(), op_cache)
-                    };
-                    let finished = match result {
-                        Ok(entry) => {
-                            let wall_ms = start.elapsed().as_millis() as u64;
-                            if let Some(scope) = &obs_scope {
-                                let record = crate::telemetry::journal_record(
-                                    entry.label(),
-                                    start.elapsed().as_secs_f64() * 1e3,
-                                    points[i].samples,
-                                    entry.from_cache,
-                                    worker,
-                                    &scope.snapshot(),
-                                );
-                                journal.lock().push((entry.label().to_string(), i, record));
-                            }
-                            on_done(i, &entry, wall_ms);
-                            slots.lock()[i] = Some(entry);
-                            true
-                        }
-                        Err(e) => {
-                            failure.lock().get_or_insert(e);
-                            // Park the cursor so idle workers stop
-                            // claiming points (in-flight ones finish
-                            // harmlessly).
-                            next.store(n, Ordering::Relaxed);
-                            false
-                        }
-                    };
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    // A help_until condition below may have just become
-                    // true; wake the waiters so they re-check.
-                    pool.notify();
-                    if !finished {
-                        break;
-                    }
+                    on_done(i, &entry, wall_ms);
+                    slots.lock()[i] = Some(entry);
                 }
-                // Out of points: keep executing other points' sample
-                // chunks until every claimed point has finished. (A
-                // point claimed between our cursor read and this check
-                // may slip by and complete owner-only — harmless, its
-                // owner drains its own job.)
-                pool.help_until(|| {
-                    next.load(Ordering::Relaxed) >= n && active.load(Ordering::SeqCst) == 0
-                });
-            });
+                Err(e) => {
+                    failure.lock().get_or_insert(e);
+                    // Park the cursor so idle workers stop claiming
+                    // points (in-flight ones finish harmlessly).
+                    next.store(n, Ordering::Relaxed);
+                    break;
+                }
+            }
         }
     });
 
@@ -915,15 +896,8 @@ fn compare_reports(
             .unwrap_or("?")
             .to_string()
     };
-    // The telemetry section is diagnostic output, present only when the
-    // run had `--telemetry`; it never participates in comparisons, so a
-    // telemetry-on run stays zero-diff against a telemetry-off one.
-    let skipped = |name: &str| name == crate::telemetry::TELEMETRY_SECTION;
     for sb in sections_b {
         let nb = name_of(sb);
-        if skipped(&nb) {
-            continue;
-        }
         if !sections_a.iter().any(|sa| name_of(sa) == nb) {
             diffs.push(structural_diff(
                 point,
@@ -936,9 +910,6 @@ fn compare_reports(
     }
     for sa in sections_a {
         let name = name_of(sa);
-        if skipped(&name) {
-            continue;
-        }
         let Some(sb) = sections_b.iter().find(|s| name_of(s) == name) else {
             diffs.push(structural_diff(
                 point,
@@ -998,15 +969,32 @@ fn compare_sections(
         return;
     }
     for (ri, (row_a, row_b)) in rows_a.iter().zip(rows_b).enumerate() {
-        let cells_a = row_a.as_array().unwrap_or(empty);
-        let cells_b = row_b.as_array().unwrap_or(empty);
+        let cells_a = row_a.as_array();
+        let cells_b = row_b.as_array();
         // Rows label themselves by their leading text cell (strategy or
         // metric name) when they have one.
         let row_label = cells_a
-            .first()
+            .and_then(|cells| cells.first())
             .and_then(Json::as_str)
             .map(str::to_string)
             .unwrap_or_else(|| format!("{ri}"));
+        // Cells pair up by position, so a row that is not an array or
+        // whose length differs is a structural change, not a shorter row.
+        let (cells_a, cells_b) = match (cells_a, cells_b) {
+            (Some(a), Some(b)) if a.len() == b.len() => (a, b),
+            _ => {
+                diffs.push([
+                    Cell::text(point),
+                    Cell::text(section),
+                    Cell::text(row_label),
+                    Cell::text("<cells>"),
+                    Cell::text(format!("{row_a}")),
+                    Cell::text(format!("{row_b}")),
+                    Cell::text("-"),
+                ]);
+                continue;
+            }
+        };
         for (ci, (ca, cb)) in cells_a.iter().zip(cells_b).enumerate() {
             let column = cols_a
                 .get(ci)
@@ -1182,6 +1170,57 @@ mod tests {
         // A second pass finds nothing left to evict.
         assert_eq!(cache.gc().unwrap(), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn suite_files_reject_a_threads_key_wherever_it_sits() {
+        for doc in [
+            r#"{"threads": 2, "samples": 1}"#,
+            r#"{"base": {"threads": 2}, "grid": {"tiers": [0, 1]}}"#,
+            r#"{"scenarios": [{"threads": 2}]}"#,
+            r#"{"threads": 2, "base": {"samples": 1}}"#,
+        ] {
+            let e = Suite::parse(doc).unwrap_err();
+            assert!(
+                e.to_string().contains("'threads'") && e.to_string().contains("--threads"),
+                "{doc}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn suite_span_errors_name_the_workload_slack() {
+        let suite =
+            Suite::parse(r#"{"base": {"workload_slack": 1e9, "span_days": 1, "samples": 1}}"#)
+                .unwrap();
+        let e = suite.expand().unwrap_err().to_string();
+        assert!(
+            e.contains("'workload_slack'") && e.contains("slack 1e9"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn compare_counts_mismatched_row_shapes_as_structural_differences() {
+        let doc = |row: &str| {
+            Json::parse(&format!(
+                r#"{{"sections": [{{"name": "s", "columns": ["x"], "rows": [{row}]}}]}}"#
+            ))
+            .unwrap()
+        };
+        for (a, b) in [
+            ("[1, 2]", "[1]"),
+            ("[1]", "[1, 2]"),
+            ("1", "[1]"),
+            ("[1]", "1"),
+        ] {
+            let out = compare_campaigns(&doc(a), &doc(b), 0.0, "a", "b").unwrap();
+            assert_eq!(out.differences, 1, "{a} vs {b}");
+            let csv = out.report.to_csv();
+            assert!(csv.contains("<cells>"), "{a} vs {b}: {csv}");
+        }
+        let same = compare_campaigns(&doc("[1]"), &doc("[1]"), 0.0, "a", "b").unwrap();
+        assert_eq!(same.differences, 0);
     }
 
     #[test]

@@ -112,30 +112,12 @@ fn sweep_section(report: &mut Report, base: &Scenario, axis: &Axis) -> Result<()
 ///   on `tiers` and `local_failure_share`), the Theorem 1 bound on
 ///   `bandwidth_gbps`, `mtbf_years` and `ckpt_mem_fraction`, and the
 ///   energy waste ratio instead of the time waste ratio on `power_ratio`.
+///
+/// This is the body of one campaign point (the CLI's `run` and `sweep`
+/// execute it through [`crate::campaign::run_suite_with`]); it records
+/// telemetry counters but never adds them to the report.
 pub fn run_scenario(scenario: &Scenario) -> Result<Report, ScenarioError> {
-    if !coopckpt_obs::enabled() {
-        return run_scenario_with_cache(scenario, OpPointCache::global());
-    }
-    // Telemetry: run the scenario under a fresh attribution scope, then
-    // append the `telemetry` report section and emit one journal record.
-    // Only this top-level entry point is instrumented —
-    // `run_scenario_with_cache` stays telemetry-free so campaign result
-    // caches never store telemetry-bearing payloads (cold and resumed
-    // campaigns must render bit-identically).
-    let scope = coopckpt_obs::new_scope();
-    let start = std::time::Instant::now();
-    let mut report = {
-        let _guard = coopckpt_obs::enter(&scope);
-        run_scenario_with_cache(scenario, OpPointCache::global())?
-    };
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let snap = scope.snapshot();
-    crate::telemetry::append_section(&mut report, &snap, wall_ms);
-    let point = scenario.name.as_deref().unwrap_or("run");
-    let record =
-        crate::telemetry::journal_record(point, wall_ms, scenario.samples, false, 0, &snap);
-    coopckpt_obs::journal_line(&record.to_string());
-    Ok(report)
+    run_scenario_with_cache(scenario, OpPointCache::global())
 }
 
 /// [`run_scenario`] against an explicit operating-point cache.

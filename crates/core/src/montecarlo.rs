@@ -12,8 +12,10 @@
 //! submitted there as seed-range chunks and the calling thread joins it —
 //! executing chunks itself while idle campaign workers steal the rest, so
 //! one big point saturates every worker without spawning extra threads.
-//! Without an ambient pool (plain `run`/`sweep`), a transient standalone
-//! pool of `mc.threads` threads runs the batch.
+//! The CLI always runs points that way. A library caller without an
+//! ambient pool gets a transient pool over one thread per available core
+//! (at most one per instance), started by the same
+//! [`coopckpt_sched::exec::Pool::run_workers`].
 
 use crate::scenario::Scenario;
 use crate::sim::{run_simulation, SimConfig, SimResult};
@@ -23,7 +25,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// How many instances to run and how.
+/// How many instances to run.
 #[derive(Debug, Clone)]
 pub struct MonteCarloConfig {
     /// Number of instances (seeds `base_seed.wrapping_add(0..samples)`).
@@ -33,18 +35,14 @@ pub struct MonteCarloConfig {
     /// ([`Scenario`] parsing rejects such combinations up front; direct
     /// library users get the wrap).
     pub base_seed: u64,
-    /// Worker threads; 0 = one per available core. Ignored when an
-    /// ambient campaign pool owns the machine (see [`set_ambient_pool`]).
-    pub threads: usize,
 }
 
 impl MonteCarloConfig {
-    /// `samples` instances starting at seed 1, one thread per core.
+    /// `samples` instances starting at seed 1.
     pub fn new(samples: usize) -> Self {
         MonteCarloConfig {
             samples,
             base_seed: 1,
-            threads: 0,
         }
     }
 
@@ -52,20 +50,6 @@ impl MonteCarloConfig {
     pub fn with_base_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
         self
-    }
-
-    /// Overrides the thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    fn effective_threads(&self, samples: usize) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let t = if self.threads == 0 { hw } else { self.threads };
-        t.clamp(1, samples.max(1))
     }
 }
 
@@ -125,22 +109,29 @@ where
 {
     assert!(mc.samples > 0, "at least one sample required");
     let n = mc.samples;
+    // The pool captures the caller's telemetry scope at submission, so
+    // samples executed by other workers still bill to this batch.
+    let batch = |pool: &SimPool| {
+        let job = pool.submit(Arc::new(config.clone()), mc.base_seed, n);
+        pool.join(&job)
+    };
     let results = match AMBIENT_POOL.with(|slot| slot.borrow().clone()) {
         // A campaign owns the machine: enqueue there and help drain it.
-        // The pool captures the caller's telemetry scope, so samples
-        // stolen by other workers still bill to this point.
-        Some(pool) => {
-            let job = pool.submit(Arc::new(config.clone()), mc.base_seed, n);
-            pool.join(&job)
+        Some(pool) => batch(pool.as_ref()),
+        // A library call: worker 0 submits and joins, the rest help.
+        None => {
+            let workers = std::thread::available_parallelism()
+                .map_or(1, |p| p.get())
+                .min(n);
+            let pool = SimPool::new(workers, sim_unit);
+            let out = Mutex::new(Vec::new());
+            pool.run_workers(workers, |w| {
+                if w == 0 {
+                    *out.lock() = batch(&pool);
+                }
+            });
+            out.into_inner()
         }
-        // Standalone run: a transient pool of our own threads.
-        None => coopckpt_sched::exec::run_standalone(
-            mc.effective_threads(n),
-            Arc::new(config.clone()),
-            mc.base_seed,
-            n,
-            sim_unit,
-        ),
     };
     results.into_iter().map(map).collect()
 }
@@ -180,8 +171,7 @@ pub fn run_all(config: &SimConfig, mc: &MonteCarloConfig) -> Vec<SimResult> {
 /// [`Scenario::from_config`] serialization means any two configs that
 /// would produce identical instances share an entry, and any field that
 /// changes results (seed, span, strategy, failure mix, ...) changes the
-/// key. The Monte-Carlo `threads` knob is documented not to affect
-/// results and is deliberately *not* part of the key.
+/// key.
 ///
 /// Fills are serialized **per key** (concurrent callers of the same point
 /// block on one computation; distinct points proceed in parallel), so a
@@ -232,8 +222,7 @@ impl OpPointCache {
 
     /// [`run_all`], memoized per operating point. Results are ordered by
     /// seed and shared behind an `Arc`; the first caller of a point
-    /// computes (with its own `mc.threads` setting — which cannot change
-    /// the results), concurrent callers of the *same* point wait for that
+    /// computes, concurrent callers of the *same* point wait for that
     /// fill, and other points are unaffected.
     pub fn run_all(&self, config: &SimConfig, mc: &MonteCarloConfig) -> Arc<Vec<SimResult>> {
         if config.record_trace {
@@ -303,12 +292,28 @@ mod tests {
         }
     }
 
+    /// `run_many` on `workers` runner threads: worker 0 owns the batch
+    /// through the ambient pool, the others help.
+    fn run_many_on(workers: usize, cfg: &SimConfig, mc: &MonteCarloConfig) -> Samples {
+        let pool = sim_pool(workers);
+        let out = Mutex::new(None);
+        pool.run_workers(workers, |w| {
+            if w == 0 {
+                let _ambient = set_ambient_pool(Arc::clone(&pool));
+                *out.lock() = Some(run_many(cfg, mc));
+            }
+        });
+        out.into_inner().expect("worker 0 ran the batch")
+    }
+
     #[test]
     fn thread_count_does_not_change_results() {
         let cfg = config();
-        let a = run_many(&cfg, &MonteCarloConfig::new(6).with_threads(1));
-        let b = run_many(&cfg, &MonteCarloConfig::new(6).with_threads(4));
+        let mc = MonteCarloConfig::new(6);
+        let a = run_many_on(1, &cfg, &mc);
+        let b = run_many_on(4, &cfg, &mc);
         assert_eq!(a.values(), b.values());
+        assert_eq!(a.values(), run_many(&cfg, &mc).values());
     }
 
     #[test]
@@ -363,10 +368,7 @@ mod tests {
             Arc::ptr_eq(&first, &second),
             "repeat lookups must share the memoized allocation"
         );
-        // The thread knob is not part of the key...
-        cache.run_all(&cfg, &mc.clone().with_threads(3));
-        assert_eq!(cache.len(), 1);
-        // ...but the seed and sample count are.
+        // The seed and sample count are part of the key.
         cache.run_all(&cfg, &mc.clone().with_base_seed(9));
         assert_eq!(cache.len(), 2);
         cache.run_all(&cfg, &MonteCarloConfig::new(3));

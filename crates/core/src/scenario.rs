@@ -169,8 +169,25 @@ fn check_span_size(config: &SimConfig) -> Result<(), ScenarioError> {
         }
     }
     if config.workload_source.is_none() {
-        let min_span = config.span * config.workload_slack.max(1.0);
-        check_generated_span(&config.classes, &config.platform, min_span)?;
+        check_generated_span(&config.classes, &config.platform, config.span)?;
+        // The generator fills `span × slack`: when the span alone fits,
+        // the slack is what overflows, so that is the field to blame.
+        let slack = config.workload_slack.max(1.0);
+        let jobs =
+            WorkloadSpec::projected_jobs(&config.classes, &config.platform, config.span * slack);
+        if jobs > WorkloadSpec::MAX_JOBS as f64 {
+            return Err(ScenarioError::invalid(
+                "workload_slack",
+                format!(
+                    "slack {slack:e} stretches the {:e}-day span to {:e} days, which \
+                     needs ~{jobs:.2e} generated jobs, more than the {} limit; \
+                     lower the slack",
+                    config.span.as_days(),
+                    (config.span * slack).as_days(),
+                    WorkloadSpec::MAX_JOBS
+                ),
+            ));
+        }
     }
     Ok(())
 }
@@ -195,6 +212,17 @@ pub fn check_generated_span(
         ));
     }
     Ok(())
+}
+
+/// The error for a `threads` key in a scenario or suite file: the thread
+/// count is a runner setting (`--threads`), not part of the experiment,
+/// so reports and cache keys never depend on it.
+pub(crate) fn threads_key_error() -> ScenarioError {
+    ScenarioError::invalid(
+        "threads",
+        "not a scenario field: the thread count is a runner setting, \
+         pass --threads to run, sweep or suite instead",
+    )
 }
 
 /// The checkpoint storage hierarchy.
@@ -247,8 +275,6 @@ pub struct Scenario {
     pub samples: usize,
     /// Base seed.
     pub seed: u64,
-    /// Worker threads (0 = one per core). Does not affect results.
-    pub threads: usize,
     /// Optional sweep: the strategy roster runs at every value of this
     /// axis (see [`crate::experiments::run_scenario`]).
     pub sweep: Option<Axis>,
@@ -286,7 +312,6 @@ impl Default for Scenario {
             span: Duration::from_days(14.0),
             samples: 10,
             seed: 1,
-            threads: 0,
             sweep: None,
             measure_margin: None,
             regular_io_chunks: None,
@@ -612,9 +637,7 @@ impl Scenario {
 
     /// The Monte-Carlo configuration this scenario asks for.
     pub fn mc(&self) -> MonteCarloConfig {
-        MonteCarloConfig::new(self.samples)
-            .with_base_seed(self.seed)
-            .with_threads(self.threads)
+        MonteCarloConfig::new(self.samples).with_base_seed(self.seed)
     }
 
     // ----- JSON serialization -------------------------------------------
@@ -675,9 +698,6 @@ impl Scenario {
                 Json::str(self.seed.to_string())
             },
         ));
-        if self.threads != 0 {
-            pairs.push(("threads".into(), Json::Num(self.threads as f64)));
-        }
         if let Some(margin) = self.measure_margin {
             pairs.push(("measure_margin_secs".into(), Json::Num(margin.as_secs())));
         }
@@ -711,6 +731,9 @@ impl Scenario {
     /// [`Scenario::default`] values; unknown keys are rejected.
     pub fn from_json(v: &Json) -> Result<Scenario, ScenarioError> {
         let pairs = as_object(v, "")?;
+        if field(pairs, "threads").is_some() {
+            return Err(threads_key_error());
+        }
         check_keys(
             pairs,
             &[
@@ -726,7 +749,6 @@ impl Scenario {
                 "span_days",
                 "samples",
                 "seed",
-                "threads",
                 "sweep",
                 "measure_margin_secs",
                 "measure_margin_days",
@@ -810,9 +832,6 @@ impl Scenario {
                     sc.seed, sc.samples
                 ),
             ));
-        }
-        if let Some(threads) = opt_u64(pairs, "threads")? {
-            sc.threads = threads as usize;
         }
         sc.measure_margin = alt_duration(
             pairs,
@@ -1644,6 +1663,37 @@ mod tests {
             .unwrap()
             .into_config()
             .is_ok());
+    }
+
+    #[test]
+    fn an_oversized_workload_slack_is_blamed_on_the_slack() {
+        let doc = r#"{"workload_slack": 1e9, "span_days": 1, "samples": 1}"#;
+        match Scenario::parse(doc).unwrap().into_config() {
+            Err(ScenarioError::Invalid { field, message }) => {
+                assert_eq!(field, "workload_slack", "{message}");
+                assert!(
+                    message.contains("slack 1e9") && message.contains("1e0-day span"),
+                    "{message}"
+                );
+                assert!(message.contains("generated jobs"), "{message}");
+            }
+            other => panic!("expected a workload_slack error, got {other:?}"),
+        }
+        // A span that overflows on its own is still the span's fault.
+        let doc = r#"{"workload_slack": 2, "span_days": 1e9, "failures": "none"}"#;
+        let e = Scenario::parse(doc).unwrap().into_config().unwrap_err();
+        assert!(e.to_string().contains("'span_days'"), "{e}");
+    }
+
+    #[test]
+    fn a_threads_key_is_rejected_as_a_runner_setting() {
+        match Scenario::parse(r#"{"threads": 2, "samples": 1}"#) {
+            Err(ScenarioError::Invalid { field, message }) => {
+                assert_eq!(field, "threads");
+                assert!(message.contains("--threads"), "{message}");
+            }
+            other => panic!("expected a threads error, got {other:?}"),
+        }
     }
 
     #[test]

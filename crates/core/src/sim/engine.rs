@@ -726,8 +726,7 @@ impl Engine {
             projects.record(self.job_projects[idx], cat, q, from, to);
         }
         if let Some(meter) = &mut self.meter {
-            let id = self.jobs[idx].spec.id.0 as u64;
-            meter.record(id, Self::phase_for(cat), q, from, to);
+            meter.record(Self::phase_for(cat), q, from, to);
         }
     }
 

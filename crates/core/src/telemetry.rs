@@ -1,81 +1,24 @@
-//! Report/journal projections of [`coopckpt_obs`] telemetry.
+//! Run-journal projection of [`coopckpt_obs`] telemetry.
 //!
 //! The `coopckpt-obs` registry is a numeric leaf — it knows counters,
-//! histograms, and spans but not JSON or reports. This module renders a
-//! scope [`Snapshot`] two ways:
-//!
-//! * [`append_section`] — a `telemetry` section appended to a [`Report`],
-//!   so `--format text/csv/json` users read the same numbers.
-//! * [`journal_record`] — the JSON-lines run-journal record, one per
-//!   completed scenario or campaign point.
-//!
-//! Both are only invoked when telemetry is enabled; reports produced with
-//! telemetry off contain neither (and are otherwise bit-identical —
-//! asserted by `tests/telemetry_semantics.rs`).
+//! histograms, and spans but not JSON. [`journal_record`] renders a scope
+//! [`Snapshot`] as the JSON-lines run-journal record, one per completed
+//! campaign point (a `run` or `sweep` is a one-point campaign). The
+//! journal is telemetry's only sink: reports never carry telemetry, so a
+//! report is byte-identical with telemetry on and off (asserted by
+//! `tests/telemetry_semantics.rs`).
 
 use crate::json::Json;
-use crate::report::{Cell, Report};
 use coopckpt_obs::{Counter, Hist, Snapshot};
-
-/// The name of the report section and of journal-skip logic in
-/// `compare`: reports are diffed *excluding* sections with this name.
-pub const TELEMETRY_SECTION: &str = "telemetry";
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-/// Appends the `telemetry` section (metric/value rows) for `snap`,
-/// typically the scope covering one scenario run.
-pub fn append_section(report: &mut Report, snap: &Snapshot, wall_ms: f64) {
-    let s = report.section(TELEMETRY_SECTION, ["metric", "value"]);
-    s.row([Cell::text("wall_ms"), Cell::float(wall_ms, 1)]);
-    for c in Counter::ALL {
-        if c.is_phase_ns() {
-            continue;
-        }
-        s.row([Cell::text(c.name()), Cell::int(snap.counter(c) as i64)]);
-    }
-    for (label, c) in [
-        ("trace_gen_ms", Counter::TraceGenNs),
-        ("replay_ms", Counter::ReplayNs),
-        ("render_ms", Counter::RenderNs),
-        ("sample_ms", Counter::SampleNs),
-    ] {
-        s.row([Cell::text(label), Cell::float(ms(snap.counter(c)), 2)]);
-    }
-    s.row([
-        Cell::text("sample_count"),
-        Cell::int(snap.samples.count as i64),
-    ]);
-    s.row([
-        Cell::text("sample_p50_ms"),
-        Cell::float(snap.samples.p50_ns / 1e6, 2),
-    ]);
-    s.row([
-        Cell::text("sample_p95_ms"),
-        Cell::float(snap.samples.p95_ns / 1e6, 2),
-    ]);
-    s.row([
-        Cell::text("sample_max_ms"),
-        Cell::float(ms(snap.samples.max_ns), 2),
-    ]);
-    for h in Hist::ALL {
-        let hs = snap.hist(h);
-        s.row([
-            Cell::text(format!("{}_mean", h.name())),
-            Cell::float(hs.mean(), 2),
-        ]);
-        s.row([
-            Cell::text(format!("{}_max", h.name())),
-            Cell::int(hs.max as i64),
-        ]);
-    }
-}
-
 /// Builds the run-journal record for one completed scenario or campaign
 /// point: identity (`point`, `worker`), wall clock, sampling volume,
-/// cache outcome, and the point's queue/cache/engine counters.
+/// cache outcome, the point's queue/cache/engine counters, phase timings,
+/// sample-time quantiles, and the mean and max of every histogram.
 pub fn journal_record(
     point: &str,
     wall_ms: f64,
@@ -144,6 +87,7 @@ pub fn journal_record(
                     Json::Num(ms(snap.counter(Counter::TraceGenNs))),
                 ),
                 ("replay", Json::Num(ms(snap.counter(Counter::ReplayNs)))),
+                ("render", Json::Num(ms(snap.counter(Counter::RenderNs)))),
                 ("sample", Json::Num(ms(snap.counter(Counter::SampleNs)))),
             ]),
         ),
@@ -156,13 +100,25 @@ pub fn journal_record(
                 ("max", Json::Num(ms(snap.samples.max_ns))),
             ]),
         ),
+        (
+            "hists",
+            Json::Obj(
+                Hist::ALL
+                    .iter()
+                    .map(|&h| {
+                        let hs = snap.hist(h);
+                        let stats = Json::obj([("mean", Json::Num(hs.mean())), ("max", n(hs.max))]);
+                        (h.name().to_string(), stats)
+                    })
+                    .collect(),
+            ),
+        ),
     ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::OutputFormat;
 
     #[test]
     fn journal_record_round_trips_through_json() {
@@ -178,18 +134,14 @@ mod tests {
             .get("cache")
             .and_then(|c| c.get("op_lookups"))
             .is_some());
-    }
-
-    #[test]
-    fn section_renders_in_every_format() {
-        let snap = coopckpt_obs::new_scope().snapshot();
-        let mut report = Report::new("run", None);
-        append_section(&mut report, &snap, 10.0);
-        assert_eq!(report.sections.len(), 1);
-        assert_eq!(report.sections[0].name, TELEMETRY_SECTION);
-        for format in [OutputFormat::Text, OutputFormat::Csv, OutputFormat::Json] {
-            let out = report.render(format);
-            assert!(out.contains("queue_inserts"), "{format:?}: {out}");
+        assert!(parsed
+            .get("phases_ms")
+            .and_then(|p| p.get("render"))
+            .is_some());
+        for h in Hist::ALL {
+            let stats = parsed.get("hists").and_then(|hs| hs.get(h.name()));
+            assert!(stats.and_then(|s| s.get("mean")).is_some(), "{}", h.name());
+            assert!(stats.and_then(|s| s.get("max")).is_some(), "{}", h.name());
         }
     }
 }

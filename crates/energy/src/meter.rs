@@ -2,7 +2,6 @@
 
 use crate::power::PowerModel;
 use coopckpt_des::{Duration, Time};
-use std::collections::BTreeMap;
 
 /// Where a joule of platform energy went.
 ///
@@ -123,7 +122,6 @@ pub struct EnergyMeter {
     /// Independently accumulated total: every joule added anywhere is also
     /// added here, in the same order.
     running_total: f64,
-    per_job: BTreeMap<u64, f64>,
     /// PFS cumulative busy time sampled at the window start and end.
     pfs_busy_marks: [Option<Duration>; 2],
     /// Tier cumulative data-movement seconds sampled at the window
@@ -153,7 +151,6 @@ impl EnergyMeter {
             joules: [0.0; 13],
             node_seconds: [0.0; JOB_PHASES],
             running_total: 0.0,
-            per_job: BTreeMap::new(),
             pfs_busy_marks: [None, None],
             tier_active_marks: [None, None],
             finalized: false,
@@ -187,9 +184,9 @@ impl EnergyMeter {
         self.running_total += joules;
     }
 
-    /// Records `q_nodes` nodes of job `job` spending `[from, to]` in a
+    /// Records `q_nodes` nodes of a job spending `[from, to]` in a
     /// job-attributed phase; the interval is clipped to the window.
-    pub fn record(&mut self, job: u64, phase: Phase, q_nodes: usize, from: Time, to: Time) {
+    pub fn record(&mut self, phase: Phase, q_nodes: usize, from: Time, to: Time) {
         debug_assert!(phase.is_job_phase(), "{phase:?} is not a job phase");
         debug_assert!(to >= from, "interval end {to} precedes start {from}");
         let a = from.max(self.window_start);
@@ -200,14 +197,13 @@ impl EnergyMeter {
             let j = ns * self.node_watts(phase);
             self.node_seconds[phase.index()] += ns;
             self.add(phase, j);
-            *self.per_job.entry(job).or_insert(0.0) += j;
         }
     }
 
     /// A failure voided compute progress: moves `node_seconds` worth of
     /// compute energy to [`Phase::Rework`], gated on `at` lying inside the
     /// window — the energy twin of the ledger's `reclassify` call. The
-    /// per-job total is unchanged (the job did draw that energy).
+    /// running total is unchanged (the job did draw that energy).
     pub fn reclassify_rework(&mut self, node_seconds: f64, at: Time) {
         debug_assert!(node_seconds >= 0.0, "negative reclassification");
         if at >= self.window_start && at <= self.window_end {
@@ -345,7 +341,6 @@ impl EnergyMeter {
             wasted_joules: self.wasted_joules(),
             platform_overhead_joules: self.platform_overhead_joules(),
             energy_waste_ratio: self.energy_waste_ratio(),
-            per_job: self.per_job.iter().map(|(&id, &j)| (id, j)).collect(),
         }
     }
 }
@@ -366,8 +361,6 @@ pub struct EnergySummary {
     /// `wasted / (useful + wasted)` — the energy mirror of the waste
     /// ratio.
     pub energy_waste_ratio: f64,
-    /// Joules drawn per job (job id, joules), ascending by id.
-    pub per_job: Vec<(u64, f64)>,
 }
 
 #[cfg(test)]
@@ -395,7 +388,6 @@ mod tests {
         let mut m = meter();
         // 10 nodes computing [50, 150]: only [100, 150] counts.
         m.record(
-            1,
             Phase::Compute,
             10,
             Time::from_secs(50.0),
@@ -403,7 +395,6 @@ mod tests {
         );
         let expect = 10.0 * 50.0 * PowerModel::cielo().compute_w;
         assert!((m.joules(Phase::Compute) - expect).abs() < 1e-9);
-        assert!((m.summary().per_job[0].1 - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -411,9 +402,9 @@ mod tests {
         let mut m = meter();
         let t0 = Time::from_secs(100.0);
         let t1 = Time::from_secs(101.0);
-        m.record(1, Phase::CkptWrite, 1, t0, t1);
-        m.record(1, Phase::Blocked, 1, t0, t1);
-        m.record(1, Phase::Recovery, 1, t0, t1);
+        m.record(Phase::CkptWrite, 1, t0, t1);
+        m.record(Phase::Blocked, 1, t0, t1);
+        m.record(Phase::Recovery, 1, t0, t1);
         let p = PowerModel::cielo();
         assert_eq!(m.joules(Phase::CkptWrite), p.ckpt_w);
         assert_eq!(m.joules(Phase::Blocked), p.idle_w);
@@ -424,7 +415,6 @@ mod tests {
     fn rework_reclassification_conserves_energy() {
         let mut m = meter();
         m.record(
-            1,
             Phase::Compute,
             4,
             Time::from_secs(100.0),
@@ -444,7 +434,6 @@ mod tests {
         let mut m = meter();
         // 5 nodes busy the whole 100 s window.
         m.record(
-            1,
             Phase::Compute,
             5,
             Time::from_secs(100.0),
@@ -469,21 +458,18 @@ mod tests {
     fn breakdown_sums_to_total_exactly() {
         let mut m = meter();
         m.record(
-            1,
             Phase::Compute,
             3,
             Time::from_secs(110.0),
             Time::from_secs(130.0),
         );
         m.record(
-            2,
             Phase::CkptWrite,
             7,
             Time::from_secs(120.0),
             Time::from_secs(125.0),
         );
         m.record(
-            1,
             Phase::Blocked,
             3,
             Time::from_secs(130.0),
@@ -506,21 +492,18 @@ mod tests {
         );
         // 80 node-seconds useful, 20 node-seconds waste.
         m.record(
-            1,
             Phase::Compute,
             1,
             Time::from_secs(0.0),
             Time::from_secs(80.0),
         );
         m.record(
-            1,
             Phase::CkptWrite,
             1,
             Time::from_secs(80.0),
             Time::from_secs(90.0),
         );
         m.record(
-            1,
             Phase::Blocked,
             1,
             Time::from_secs(90.0),

@@ -88,13 +88,14 @@ pub type UnitFn<C, U> = dyn Fn(&C, u64) -> U + Send + Sync;
 /// read-only by every unit), `U` the per-unit result.
 ///
 /// The pool itself owns no threads — it is a queue plus the unit-runner
-/// function. Threads donate themselves by calling [`Pool::join`] (which
-/// executes chunks until its own job completes, stealing other jobs'
-/// chunks while waiting) or [`Pool::help_until`] (which executes chunks
-/// until an external condition holds). That inversion is what lets the
-/// campaign's point-level workers double as sample-level workers without
-/// a second pool: `--threads n` means *n threads total*, wherever the
-/// work happens to be.
+/// function. [`Pool::run_workers`] lends it a fixed set of threads, and
+/// each thread donates itself by calling [`Pool::join`] (which executes
+/// chunks until its own job completes, stealing other jobs' chunks while
+/// waiting) or [`Pool::help_until`] (which executes chunks until an
+/// external condition holds). That inversion is what lets the campaign's
+/// point-level workers double as sample-level workers without a second
+/// pool: `--threads n` means *n threads total*, wherever the work happens
+/// to be.
 pub struct Pool<C, U> {
     run: Box<UnitFn<C, U>>,
     queue: Mutex<VecDeque<Chunk<C, U>>>,
@@ -244,33 +245,41 @@ impl<C: Send + Sync, U: Send> Pool<C, U> {
         drop(self.queue.lock().unwrap());
         self.cv.notify_all();
     }
-}
 
-/// One-shot convenience for callers without an ambient pool: runs `units`
-/// units of `ctx` across `threads` threads (the calling thread plus
-/// `threads - 1` transient helpers) and returns the results sorted by
-/// unit index. With `threads == 1` no thread is spawned at all.
-pub fn run_standalone<C, U>(
-    threads: usize,
-    ctx: Arc<C>,
-    base_seed: u64,
-    units: usize,
-    run: impl Fn(&C, u64) -> U + Send + Sync + 'static,
-) -> Vec<U>
-where
-    C: Send + Sync,
-    U: Send,
-{
-    let threads = threads.clamp(1, units.max(1));
-    let pool = Pool::new(threads, run);
-    let job = pool.submit(ctx, base_seed, units);
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            let (pool, job) = (&pool, &job);
-            scope.spawn(move || pool.help_until(|| job.is_done()));
+    /// Runs `body(w)` for every `w` in `0..workers` on `workers` threads:
+    /// the caller is worker 0 and `workers - 1` scoped threads run the
+    /// rest. A thread whose body has returned keeps executing queued
+    /// chunks until every body has returned, so a job submitted by a slow
+    /// body is shared by all workers, not left to its owner. This is the
+    /// one place simulation threads are spawned: `workers` is the total
+    /// thread count, wherever the work happens to be.
+    pub fn run_workers(&self, workers: usize, body: impl Fn(usize) + Sync) {
+        let workers = workers.max(1);
+        let running = AtomicUsize::new(workers);
+        /// Counts a body out on drop, so a panicking body cannot leave
+        /// the other workers helping forever.
+        struct Done<'a, C: Send + Sync, U: Send>(&'a Pool<C, U>, &'a AtomicUsize);
+        impl<C: Send + Sync, U: Send> Drop for Done<'_, C, U> {
+            fn drop(&mut self) {
+                self.1.fetch_sub(1, Ordering::SeqCst);
+                self.0.notify();
+            }
         }
-        pool.join(&job)
-    })
+        let work = |w: usize| {
+            {
+                let _done = Done(self, &running);
+                body(w);
+            }
+            self.help_until(|| running.load(Ordering::SeqCst) == 0);
+        };
+        std::thread::scope(|scope| {
+            for w in 1..workers {
+                let work = &work;
+                scope.spawn(move || work(w));
+            }
+            work(0);
+        });
+    }
 }
 
 #[cfg(test)]
@@ -327,15 +336,49 @@ mod tests {
         );
     }
 
+    /// One job submitted and joined by worker 0 while the other workers
+    /// only help: the library's Monte-Carlo fallback shape.
+    fn run_on_workers(workers: usize) -> Vec<u64> {
+        let pool = square_pool(workers);
+        let out = Mutex::new(Vec::new());
+        pool.run_workers(workers, |w| {
+            if w == 0 {
+                let job = pool.submit(Arc::new(7), 5, 33);
+                *out.lock().unwrap() = pool.join(&job);
+            }
+        });
+        out.into_inner().unwrap()
+    }
+
     #[test]
-    fn run_standalone_matches_serial_at_any_thread_count() {
+    fn run_workers_results_do_not_depend_on_the_worker_count() {
         let _gate = gate();
-        let serial = run_standalone(1, Arc::new(7u64), 5, 33, |o, s| s.wrapping_mul(*o));
-        for threads in [2, 8] {
-            let parallel =
-                run_standalone(threads, Arc::new(7u64), 5, 33, |o, s| s.wrapping_mul(*o));
-            assert_eq!(serial, parallel, "threads = {threads}");
+        let serial = run_on_workers(1);
+        assert_eq!(serial, (5..38u64).map(|s| s * 7).collect::<Vec<_>>());
+        for workers in [2, 8] {
+            assert_eq!(serial, run_on_workers(workers), "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn run_workers_runs_every_body_once_and_drains_late_jobs() {
+        let _gate = gate();
+        // Every body submits its own job; bodies that finish early keep
+        // helping, so all jobs complete whatever the interleaving.
+        let pool = square_pool(4);
+        let seen = Mutex::new(Vec::new());
+        pool.run_workers(4, |w| {
+            let job = pool.submit(Arc::new(w as u64 + 1), 0, 10);
+            let got = pool.join(&job);
+            assert_eq!(
+                got,
+                (0..10u64).map(|s| s * (w as u64 + 1)).collect::<Vec<_>>()
+            );
+            seen.lock().unwrap().push(w);
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -361,8 +404,8 @@ mod tests {
     fn worker_peak_is_one_when_single_threaded() {
         let _gate = gate();
         reset_unit_worker_peak();
-        let got = run_standalone(1, Arc::new(1u64), 0, 64, |o, s| s.wrapping_mul(*o));
-        assert_eq!(got.len(), 64);
+        let got = run_on_workers(1);
+        assert_eq!(got.len(), 33);
         assert_eq!(unit_worker_peak(), 1);
     }
 

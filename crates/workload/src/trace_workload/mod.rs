@@ -54,6 +54,10 @@ pub struct TraceJob {
     /// Checkpoint volume; `None` defaults to the job's full memory
     /// footprint on the target platform.
     pub ckpt_bytes: Option<Bytes>,
+    /// Where the record sits in its source, for error messages: the
+    /// 1-based file line for a job log, the 1-based record index for a
+    /// generated trace, 0 when unknown.
+    pub line: usize,
 }
 
 /// A trace problem: what went wrong, where.
@@ -189,16 +193,25 @@ impl TraceSpec {
     }
 }
 
-/// The error text for a record submitted before its predecessor. The two
-/// instants print in exponent form: a hostile log can carry submit times
-/// near `f64::MAX`, which fixed-point formatting would spell out in
-/// hundreds of digits.
-fn submit_order_message(submit: Time, previous: Time) -> String {
-    format!(
-        "records must be in nondecreasing submit order (t={:e}s after t={:e}s)",
-        submit.as_secs(),
-        previous.as_secs()
-    )
+/// Checks a record's submit time against its predecessor's: finite and
+/// non-negative first, then nondecreasing. The order message prints both
+/// instants in exponent form: a hostile log can carry submit times near
+/// `f64::MAX`, which fixed-point formatting would spell out in hundreds
+/// of digits.
+fn check_submit(submit: Time, previous: Time) -> Result<(), String> {
+    if !(submit.is_finite() && submit >= Time::ZERO) {
+        return Err(format!(
+            "submit time must be finite and non-negative, got {submit}"
+        ));
+    }
+    if submit < previous {
+        return Err(format!(
+            "records must be in nondecreasing submit order (t={:e}s after t={:e}s)",
+            submit.as_secs(),
+            previous.as_secs()
+        ));
+    }
+    Ok(())
 }
 
 /// A job shape: node count plus exact checkpoint volume (bit pattern, so
@@ -263,24 +276,9 @@ impl TraceClasses {
         let mut last_submit = Time::ZERO;
         while let Some(record) = source.next_job() {
             let job = record?;
-            let line = jobs + 1;
-            if !(job.submit.is_finite() && job.submit >= Time::ZERO) {
-                return Err(TraceError::new(
-                    context,
-                    line,
-                    format!(
-                        "submit time must be finite and non-negative, got {}",
-                        job.submit
-                    ),
-                ));
-            }
-            if job.submit < last_submit {
-                return Err(TraceError::new(
-                    context,
-                    line,
-                    submit_order_message(job.submit, last_submit),
-                ));
-            }
+            let line = job.line;
+            check_submit(job.submit, last_submit)
+                .map_err(|message| TraceError::new(context, line, message))?;
             if job.submit > horizon {
                 break;
             }
@@ -546,6 +544,7 @@ mod tests {
             nodes,
             walltime: Duration::from_secs(wall),
             ckpt_bytes: None,
+            line: 0,
         }
     }
 
@@ -600,6 +599,55 @@ mod tests {
         let mut src = MaterializedSource::new(vec![job("x", 0.0, p.nodes + 1, 1.0)]);
         let err = TraceClasses::scan(&mut src, &p, Time::from_secs(1e6), "test").unwrap_err();
         assert!(err.message.contains("only"), "{err}");
+    }
+
+    /// Scans a job log written to a temp file; the error's display form.
+    fn scan_file_error(name: &str, content: &str) -> String {
+        let path =
+            std::env::temp_dir().join(format!("coopckpt-scan-{name}-{}", std::process::id()));
+        std::fs::write(&path, content).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let mut src = TraceSpec::Path(path.clone()).open().unwrap();
+        let err = TraceClasses::scan(&mut *src, &cielo(), Time::from_secs(1e6), &path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        err.to_string().replacen(&path, name, 1)
+    }
+
+    #[test]
+    fn scan_errors_cite_the_file_line_not_the_record_index() {
+        // Header, comment, record, blank line, bad record on line 5.
+        let csv = "project,submit_time,nodes,walltime\n# comment\na,0,1,60\n\nb,10,0,60\n";
+        assert_eq!(
+            scan_file_error("w.csv", csv),
+            "w.csv:5: job requests zero nodes"
+        );
+        // JSON lines with a blank line: the bad record is on line 3, and
+        // so is a malformed field the reader itself rejects.
+        let jsonl = |second: &str| {
+            format!(
+                "{{\"project\": \"a\", \"submit_time\": 0, \"nodes\": 1, \"walltime\": 60}}\n\n{second}\n"
+            )
+        };
+        let zero = r#"{"project": "b", "submit_time": 10, "nodes": 0, "walltime": 60}"#;
+        assert_eq!(
+            scan_file_error("z.jsonl", &jsonl(zero)),
+            "z.jsonl:3: job requests zero nodes"
+        );
+        let bad = r#"{"project": "b", "submit_time": 10, "nodes": "x", "walltime": 60}"#;
+        assert!(scan_file_error("z.jsonl", &jsonl(bad)).starts_with("z.jsonl:3: "));
+    }
+
+    #[test]
+    fn a_negative_first_submit_fails_the_range_check_not_the_order_check() {
+        let csv = "project,submit_time,nodes,walltime\na,-5,1,60\n";
+        let err = scan_file_error("neg.csv", csv);
+        assert!(
+            err.starts_with("neg.csv:2: submit time must be finite and non-negative"),
+            "{err}"
+        );
+        let mut src = MaterializedSource::new(vec![job("x", -5.0, 1, 1.0)]);
+        let err = TraceClasses::scan(&mut src, &cielo(), Time::from_secs(1e6), "test").unwrap_err();
+        assert!(err.message.contains("non-negative"), "{err}");
     }
 
     #[test]

@@ -134,13 +134,9 @@ impl JobSource for TraceReader {
                 return Some(Err(e));
             }
         };
-        if job.submit < self.last_submit {
+        if let Err(message) = super::check_submit(job.submit, self.last_submit) {
             self.failed = true;
-            return Some(Err(TraceError::new(
-                &self.path,
-                line_no,
-                super::submit_order_message(job.submit, self.last_submit),
-            )));
+            return Some(Err(TraceError::new(&self.path, line_no, message)));
         }
         self.last_submit = job.submit;
         Some(Ok(job))
@@ -213,6 +209,7 @@ fn parse_csv_record(
         nodes,
         walltime,
         ckpt_bytes,
+        line: line_no,
     })
 }
 
@@ -348,6 +345,7 @@ fn parse_json_record(path: &str, line_no: usize, line: &str) -> Result<TraceJob,
             walltime.ok_or_else(|| err("missing 'walltime'".to_string()))?,
         ),
         ckpt_bytes: ckpt.map(Bytes::new),
+        line: line_no,
     })
 }
 

@@ -202,6 +202,7 @@ impl JobSource for SyntheticSource {
             nodes,
             walltime: Duration::from_secs(walltime_secs),
             ckpt_bytes: Some(ckpt),
+            line: self.emitted,
         }))
     }
 }

@@ -2,16 +2,15 @@
 //!
 //! * **Expansion** — a suite's grid expands to a duplicate-free,
 //!   order-stable scenario list (property-tested over random grids), with
-//!   unique auto-generated names and the runner-owned `threads` knob
-//!   normalized out.
+//!   unique auto-generated names.
 //! * **Thread identity** — the merged campaign output (text, CSV, JSON)
 //!   is bit-identical at `--threads 1`, `2` and `8`: workers steal points
 //!   through an atomic cursor but the merge is in expansion order.
 //! * **Resume identity** — with an on-disk [`ResultCache`], a warm rerun
 //!   serves every point from cache and renders bit-identically to the
 //!   cold run, including after a partial cache loss.
-//! * **Key hygiene** — [`cache_key`] is invariant under JSON field order,
-//!   human-unit spellings and the `threads` knob, and distinct under any
+//! * **Key hygiene** — [`cache_key`] is invariant under JSON field order
+//!   and human-unit spellings, and distinct under any
 //!   result-affecting change (seed, samples, an axis value).
 //! * **Golden campaign output** — the checked-in `paper_grid` suite's
 //!   rendered output is compared byte-for-byte against
@@ -128,13 +127,12 @@ proptest! {
         let n_seeds = seed_picks.iter().collect::<std::collections::HashSet<_>>().len();
         prop_assert_eq!(points.len(), n_strats * n_bws * n_seeds);
 
-        // Duplicate-free, with unique names, and threads normalized out.
+        // Duplicate-free, with unique names.
         let mut specs = std::collections::HashSet::new();
         let mut names = std::collections::HashSet::new();
         for sc in &points {
             prop_assert!(specs.insert(sc.to_json_string()), "duplicate scenario survived");
             prop_assert!(names.insert(sc.name.clone().expect("auto-named")), "name collision");
-            prop_assert_eq!(sc.threads, 0, "runner-owned threads leaked into a point");
         }
 
         // Order-stable: a second expansion is identical.
@@ -283,11 +281,6 @@ fn cache_key_is_stable_across_field_order_and_unit_spellings() {
     )
     .unwrap();
     assert_eq!(cache_key(&canonical), cache_key(&respelled));
-
-    // The runner-owned threads knob never reaches the key.
-    let mut threaded = canonical.clone();
-    threaded.threads = 3;
-    assert_eq!(cache_key(&canonical), cache_key(&threaded));
 
     // Every result-affecting field does.
     let mut distinct = std::collections::HashSet::new();

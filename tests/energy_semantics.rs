@@ -66,9 +66,8 @@ proptest! {
             PowerModel::prospective(),
             3,
         );
-        for (i, &(phase, q, t0, dt)) in intervals.iter().enumerate() {
+        for &(phase, q, t0, dt) in &intervals {
             meter.record(
-                i as u64,
                 job_phases[phase],
                 q,
                 Time::from_secs(t0),

@@ -18,7 +18,6 @@
 //!   ```
 
 use coopckpt::experiments::run_scenario;
-use coopckpt::json::Json;
 use coopckpt::prelude::*;
 use std::path::PathBuf;
 
@@ -28,34 +27,28 @@ fn preset_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// The report's JSON with the scenario echo dropped — the echo contains
-/// the `threads` knob itself, which is exactly the field the determinism
-/// test varies (it is documented not to affect results).
-fn json_without_echo(report: &Report) -> String {
-    match report.to_json() {
-        Json::Obj(pairs) => {
-            Json::Obj(pairs.into_iter().filter(|(k, _)| k != "scenario").collect()).pretty()
-        }
-        other => other.pretty(),
-    }
+/// Runs `sc` through the campaign runner on `threads` workers, as
+/// `coopckpt run --threads <n>` does, and returns the point's text, CSV
+/// and JSON (scenario echo included). Each run gets a fresh
+/// operating-point cache, so every thread count really recomputes.
+fn render_on_threads(sc: &Scenario, threads: usize) -> (String, String, String) {
+    use coopckpt::campaign::{run_suite, CampaignOptions, Suite};
+    let opts = CampaignOptions {
+        threads,
+        cache: None,
+        op_cache: Some(std::sync::Arc::new(OpPointCache::new())),
+    };
+    let campaign = run_suite(&Suite::single(sc.clone()), &opts).expect("scenario runs");
+    let entry = &campaign.entries[0];
+    (entry.text.clone(), entry.csv.clone(), entry.report.pretty())
 }
 
 #[test]
 fn thread_count_never_changes_the_report() {
     let base = Scenario::load(preset_path("multilevel_recovery")).expect("preset loads");
-    let render = |threads: usize| {
-        let mut sc = base.clone();
-        sc.threads = threads;
-        let report = run_scenario(&sc).expect("preset runs");
-        (
-            report.to_text(),
-            report.to_csv(),
-            json_without_echo(&report),
-        )
-    };
-    let single = render(1);
+    let single = render_on_threads(&base, 1);
     for threads in [2, 8] {
-        let multi = render(threads);
+        let multi = render_on_threads(&base, threads);
         assert_eq!(single.0, multi.0, "text differs at --threads {threads}");
         assert_eq!(single.1, multi.1, "CSV differs at --threads {threads}");
         assert_eq!(single.2, multi.2, "JSON differs at --threads {threads}");

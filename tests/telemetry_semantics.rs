@@ -1,15 +1,16 @@
 //! Telemetry semantics: the `coopckpt-obs` layer is provably inert.
 //!
 //! * **Bit identity** — rendered reports (text, CSV, JSON) are identical
-//!   with telemetry on and off, across strategies and tier depths; the
-//!   top-level `run_scenario` adds exactly one `telemetry` section and
-//!   nothing else.
+//!   with telemetry on and off, across strategies and tier depths, and a
+//!   point run through the campaign runner (what `coopckpt run` does) is
+//!   byte-identical too: telemetry has no report section.
 //! * **Counter sanity** — conservation laws hold: queue inserts ≥ pops,
 //!   op-cache hits + misses = lookups, one sample span per Monte-Carlo
 //!   instance.
-//! * **Journal** — run-journal lines parse back through [`Json`], carry
-//!   the queue/cache counter groups, and a campaign journal lists the
-//!   same points in the same (name-sorted) order at any thread count.
+//! * **Journal** — the journal is telemetry's one sink: its lines parse
+//!   back through [`Json`], carry every counter group, phase timing and
+//!   histogram, and a campaign journal lists the same points in the same
+//!   (name-sorted) order at any thread count.
 //!
 //! Telemetry state is process-global, so every test serializes on a gate
 //! and restores the disabled default via the guard's `Drop` (panic-safe).
@@ -17,7 +18,6 @@
 use coopckpt::campaign::{run_suite, CampaignOptions, Suite};
 use coopckpt::json::Json;
 use coopckpt::prelude::*;
-use coopckpt::telemetry::TELEMETRY_SECTION;
 use coopckpt_obs::{Counter, Hist};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -60,6 +60,32 @@ fn scratch(tag: &str) -> PathBuf {
 
 const FORMATS: [OutputFormat; 3] = [OutputFormat::Text, OutputFormat::Csv, OutputFormat::Json];
 
+/// Runs `sc` the way `coopckpt run` does: a one-point campaign, with a
+/// fresh operating-point cache so nothing is served memoized.
+fn run_point(sc: &Scenario) -> CampaignEntry {
+    let opts = CampaignOptions {
+        threads: 2,
+        cache: None,
+        op_cache: Some(std::sync::Arc::new(OpPointCache::new())),
+    };
+    let campaign = run_suite(&Suite::single(sc.clone()), &opts).expect("point runs");
+    campaign.entries.into_iter().next().expect("one point")
+}
+
+/// Runs `sc` as a one-point campaign with the journal written to a
+/// scratch file and returns its one record.
+fn journal_record_of(sc: &Scenario, tag: &str) -> Json {
+    let path = scratch(tag);
+    coopckpt_obs::init(Some(&path)).expect("journal opens");
+    run_point(sc);
+    coopckpt_obs::set_enabled(false);
+    let text = std::fs::read_to_string(&path).expect("journal readable");
+    std::fs::remove_file(&path).ok();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1, "one record per completed point");
+    Json::parse(lines[0]).expect("journal line parses")
+}
+
 #[test]
 fn reports_are_bit_identical_with_telemetry_on_and_off() {
     let _gate = telemetry_test();
@@ -99,29 +125,54 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
 }
 
 #[test]
-fn top_level_run_appends_exactly_one_telemetry_section() {
+fn run_report_is_byte_identical_with_telemetry_on_and_off() {
     let _gate = telemetry_test();
     let sc = scenario("least-waste", 0);
     coopckpt_obs::set_enabled(false);
-    let off = run_scenario(&sc).expect("telemetry-off run");
+    let off = run_point(&sc);
     coopckpt_obs::init(None).expect("counters-only init");
-    let mut on = run_scenario(&sc).expect("telemetry-on run");
+    let on = run_point(&sc);
     coopckpt_obs::set_enabled(false);
-
-    assert_eq!(on.sections.len(), off.sections.len() + 1);
+    assert_eq!(off.text, on.text, "text differs with telemetry on");
+    assert_eq!(off.csv, on.csv, "CSV differs with telemetry on");
     assert_eq!(
-        on.sections.last().expect("nonempty").name,
-        TELEMETRY_SECTION,
-        "the telemetry section is appended last"
+        off.report.pretty(),
+        on.report.pretty(),
+        "JSON differs with telemetry on"
     );
-    on.sections.retain(|s| s.name != TELEMETRY_SECTION);
-    for format in FORMATS {
-        assert_eq!(
-            off.render(format),
-            on.render(format),
-            "stripping the telemetry section must restore the off report ({format:?})"
+}
+
+#[test]
+fn run_journal_record_carries_render_time_and_every_histogram() {
+    let _gate = telemetry_test();
+    let rec = journal_record_of(&scenario("least-waste", 0), "hists");
+    let render = rec
+        .get("phases_ms")
+        .and_then(|p| p.get("render"))
+        .and_then(Json::as_f64)
+        .expect("phases_ms.render");
+    assert!(render >= 0.0);
+    let hists = rec.get("hists").expect("histogram group");
+    for h in Hist::ALL {
+        let stats = hists
+            .get(h.name())
+            .unwrap_or_else(|| panic!("{}", h.name()));
+        assert!(
+            stats.get("mean").and_then(Json::as_f64).is_some(),
+            "{}",
+            h.name()
+        );
+        assert!(
+            stats.get("max").and_then(Json::as_u64).is_some(),
+            "{}",
+            h.name()
         );
     }
+    let peak = hists
+        .get(Hist::PeakLiveJobs.name())
+        .and_then(|s| s.get("max"))
+        .and_then(Json::as_u64);
+    assert!(peak > Some(0), "a run has live jobs");
 }
 
 #[test]
@@ -167,17 +218,7 @@ fn counters_obey_conservation_laws() {
 #[test]
 fn journal_records_parse_and_carry_counters() {
     let _gate = telemetry_test();
-    let path = scratch("run");
-    coopckpt_obs::init(Some(&path)).expect("journal opens");
-    let sc = scenario("least-waste", 0);
-    run_scenario(&sc).expect("run");
-    coopckpt_obs::set_enabled(false);
-
-    let text = std::fs::read_to_string(&path).expect("journal readable");
-    std::fs::remove_file(&path).ok();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 1, "one record per completed scenario");
-    let rec = Json::parse(lines[0]).expect("journal line parses");
+    let rec = journal_record_of(&scenario("least-waste", 0), "run");
     assert_eq!(
         rec.get("point").and_then(Json::as_str),
         Some("telemetry/least-waste/tiers0")

@@ -4,6 +4,9 @@
 //!   simulation worker (the pre-pool runner mapped a lone worker to
 //!   "all cores", silently oversubscribing); `--threads n` never exceeds
 //!   `n` concurrent unit workers.
+//! * **One thread spawner** — `Pool::run_workers` gives the same results
+//!   at 1, 2 and 8 workers for both of its callers, a campaign and a
+//!   library `run_many` batch.
 //! * **Wrapping seeds** — library-level Monte-Carlo seed arithmetic wraps
 //!   at `u64::MAX` by definition instead of panicking in debug builds,
 //!   and wrapped seed ranges overlap unwrapped ones exactly.
@@ -120,6 +123,48 @@ fn suite_threads_1_runs_exactly_one_simulation_worker() {
         (1..=4).contains(&peak),
         "--threads 4 ran {peak} concurrent unit workers"
     );
+}
+
+/// Both callers of `Pool::run_workers` — a campaign and a library
+/// `run_many` that owns the batch on worker 0 — give the same results at
+/// 1, 2 and 8 workers, and one worker never runs two units at once.
+#[test]
+fn run_workers_is_thread_count_stable_for_campaigns_and_library_batches() {
+    use coopckpt::montecarlo::{set_ambient_pool, sim_pool};
+
+    let _gate = threading_test();
+    let suite = single_big_point_suite(12);
+    let config = suite.expand().expect("suite expands")[0]
+        .into_config()
+        .expect("point compiles");
+    let mc = MonteCarloConfig::new(12).with_base_seed(7);
+    let library = |workers: usize| {
+        let pool = sim_pool(workers);
+        let out = std::sync::Mutex::new(Vec::new());
+        pool.run_workers(workers, |w| {
+            if w == 0 {
+                let _ambient = set_ambient_pool(Arc::clone(&pool));
+                *out.lock().unwrap() = run_many(&config, &mc).values().to_vec();
+            }
+        });
+        out.into_inner().unwrap()
+    };
+    let mut baseline = None;
+    for workers in [1usize, 2, 8] {
+        coopckpt_sched::exec::reset_unit_worker_peak();
+        let campaign = renders(&run_at(&suite, workers));
+        let batch = library(workers);
+        if workers == 1 {
+            assert_eq!(coopckpt_sched::exec::unit_worker_peak(), 1);
+        }
+        match &baseline {
+            None => baseline = Some((campaign, batch)),
+            Some((c1, b1)) => {
+                assert_eq!(c1, &campaign, "campaign differs at {workers} workers");
+                assert_eq!(b1, &batch, "run_many differs at {workers} workers");
+            }
+        }
+    }
 }
 
 // ----- wrapping seed arithmetic ------------------------------------------

@@ -12,8 +12,6 @@
 //! * **Bounded residency** — a 100k-job trace streams through the engine
 //!   with peak resident jobs orders of magnitude below the trace length.
 
-use coopckpt::experiments::run_scenario;
-use coopckpt::json::Json;
 use coopckpt::prelude::*;
 use coopckpt_stats::Category;
 use coopckpt_workload::trace_workload::{JobSource, MaterializedSource, TraceJob, TraceSpec};
@@ -155,17 +153,6 @@ fn project_rows_sum_to_the_ledger_totals_exactly() {
     }
 }
 
-/// The report's JSON without the scenario echo (the echo contains the
-/// `threads` knob this test varies).
-fn json_without_echo(report: &Report) -> String {
-    match report.to_json() {
-        Json::Obj(pairs) => {
-            Json::Obj(pairs.into_iter().filter(|(k, _)| k != "scenario").collect()).pretty()
-        }
-        other => other.pretty(),
-    }
-}
-
 #[test]
 fn trace_reports_are_thread_count_stable() {
     // The checked-in preset, shrunk for test runtime; the projects
@@ -176,15 +163,18 @@ fn trace_reports_are_thread_count_stable() {
     .expect("trace_sample preset loads");
     base.span = Duration::from_days(4.0);
     base.samples = 2;
+    // Through the campaign runner at each thread count, as `coopckpt
+    // run --threads <n>` does; a fresh operating-point cache per run so
+    // every thread count really recomputes.
     let render = |threads: usize| {
-        let mut sc = base.clone();
-        sc.threads = threads;
-        let report = run_scenario(&sc).expect("trace preset runs");
-        (
-            report.to_text(),
-            report.to_csv(),
-            json_without_echo(&report),
-        )
+        let opts = CampaignOptions {
+            threads,
+            cache: None,
+            op_cache: Some(std::sync::Arc::new(OpPointCache::new())),
+        };
+        let campaign = run_suite(&Suite::single(base.clone()), &opts).expect("trace preset runs");
+        let entry = &campaign.entries[0];
+        (entry.text.clone(), entry.csv.clone(), entry.report.pretty())
     };
     let single = render(1);
     assert!(
