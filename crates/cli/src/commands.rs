@@ -400,6 +400,28 @@ const SCENARIO_FLAGS: &[&str] = &[
     "help",
 ];
 
+/// `trace` simulates one instance on the calling thread, so it takes
+/// every scenario flag except the runner's `--threads`.
+const TRACE_FLAGS: &[&str] = &[
+    "scenario",
+    "platform",
+    "bandwidth",
+    "mtbf-years",
+    "span-days",
+    "samples",
+    "seed",
+    "strategy",
+    "workload",
+    "interference",
+    "failures",
+    "failure-classes",
+    "tiers",
+    "power",
+    "telemetry",
+    "format",
+    "help",
+];
+
 const SWEEP_FLAGS: &[&str] = &[
     "scenario",
     "platform",
@@ -465,7 +487,8 @@ pub const COMMANDS: &[&str] = &[
 /// ([`Args::check_known`]).
 pub fn known_flags(command: &str) -> &'static [&'static str] {
     match command {
-        "run" | "trace" => SCENARIO_FLAGS,
+        "run" => SCENARIO_FLAGS,
+        "trace" => TRACE_FLAGS,
         "sweep" => SWEEP_FLAGS,
         "suite" => SUITE_FLAGS,
         "compare" => COMPARE_FLAGS,
@@ -1440,6 +1463,23 @@ mod tests {
         assert!(known_flags("sweep").contains(&"telemetry"));
         assert!(known_flags("suite").contains(&"telemetry"));
         assert!(!known_flags("table1").contains(&"telemetry"));
+    }
+
+    #[test]
+    fn trace_rejects_the_runner_thread_count() {
+        // `--threads` sizes the campaign runner; `trace` never starts it,
+        // so the flag is unknown there rather than silently ignored.
+        assert!(known_flags("run").contains(&"threads"));
+        let a = args(&["trace", "--threads", "abc"]);
+        let e = a.check_known(known_flags("trace")).unwrap_err().to_string();
+        assert!(e.contains("--threads"), "{e}");
+        let trace_flags: Vec<_> = known_flags("trace").to_vec();
+        let run_flags: Vec<_> = known_flags("run")
+            .iter()
+            .copied()
+            .filter(|f| *f != "threads")
+            .collect();
+        assert_eq!(trace_flags, run_flags);
     }
 
     #[test]

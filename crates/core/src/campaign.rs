@@ -41,11 +41,12 @@
 //! documents and highlights metric drift beyond a relative tolerance.
 
 use crate::axis::Axis;
-use crate::experiments::run_scenario_with_cache;
+use crate::experiments::run_compiled_scenario;
 use crate::json::{Json, JsonError};
 use crate::montecarlo::OpPointCache;
 use crate::report::{Cell, OutputFormat, Report};
 use crate::scenario::{threads_key_error, Scenario, ScenarioError};
+use crate::sim::SimConfig;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
@@ -285,6 +286,13 @@ impl Suite {
     /// Every point is validated before any of them runs, so a bad grid
     /// value fails the whole campaign up front instead of mid-flight.
     pub fn expand(&self) -> Result<Vec<Scenario>, CampaignError> {
+        Ok(self.compile()?.into_iter().map(|(sc, _)| sc).collect())
+    }
+
+    /// [`Suite::expand`]'s points paired with the configs their
+    /// validation compiled, so the runner never compiles a point (and
+    /// scans its job log) twice.
+    fn compile(&self) -> Result<Vec<(Scenario, SimConfig)>, CampaignError> {
         let mut points: Vec<Scenario> = Vec::new();
         if !self.grid.is_empty() {
             let dims: Vec<usize> = self.grid.iter().map(Axis::len).collect();
@@ -328,27 +336,31 @@ impl Suite {
         points.extend(self.scenarios.iter().cloned());
         let mut seen = HashSet::new();
         points.retain(|sc| seen.insert(sc.to_json_string()));
-        for sc in &points {
-            let name = sc.name.clone().unwrap_or_else(|| "<unnamed>".to_string());
-            if sc.samples == 0 {
-                return Err(CampaignError::Point {
-                    name,
-                    source: ScenarioError::Invalid {
-                        field: "samples".to_string(),
-                        message: "at least one sample required".to_string(),
-                    },
-                });
-            }
-            sc.into_config()
-                .map_err(|source| CampaignError::Point { name, source })?;
-        }
         if points.is_empty() {
             return Err(CampaignError::invalid(
                 "",
                 "suite declares no scenarios (add a 'grid' or a 'scenarios' list)",
             ));
         }
-        Ok(points)
+        points
+            .into_iter()
+            .map(|sc| {
+                let name = sc.name.clone().unwrap_or_else(|| "<unnamed>".to_string());
+                if sc.samples == 0 {
+                    return Err(CampaignError::Point {
+                        name,
+                        source: ScenarioError::Invalid {
+                            field: "samples".to_string(),
+                            message: "at least one sample required".to_string(),
+                        },
+                    });
+                }
+                match sc.into_config() {
+                    Ok(config) => Ok((sc, config)),
+                    Err(source) => Err(CampaignError::Point { name, source }),
+                }
+            })
+            .collect()
     }
 }
 
@@ -631,6 +643,7 @@ impl Campaign {
 
 fn run_point(
     sc: &Scenario,
+    config: &SimConfig,
     cache: Option<&ResultCache>,
     op_cache: &OpPointCache,
 ) -> Result<CampaignEntry, CampaignError> {
@@ -652,7 +665,7 @@ fn run_point(
     }
     // The runner's parallelism lives in the ambient pool the calling
     // worker installed, never in the scenario or its report echo.
-    let report = run_scenario_with_cache(sc, op_cache)?;
+    let report = run_compiled_scenario(sc, config, op_cache)?;
     let entry = {
         let _span = coopckpt_obs::span(coopckpt_obs::Phase::Render);
         CampaignEntry {
@@ -714,7 +727,7 @@ pub fn run_suite_with<F>(
 where
     F: Fn(usize, &CampaignEntry, u64) + Sync,
 {
-    let points = suite.expand()?;
+    let points = suite.compile()?;
     let n = points.len();
     let hw = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -748,7 +761,8 @@ where
             let start = std::time::Instant::now();
             let result = {
                 let _guard = obs_scope.as_ref().map(coopckpt_obs::enter);
-                run_point(&points[i], opts.cache.as_ref(), op_cache)
+                let (sc, config) = &points[i];
+                run_point(sc, config, opts.cache.as_ref(), op_cache)
             };
             match result {
                 Ok(entry) => {
@@ -757,7 +771,7 @@ where
                         let record = crate::telemetry::journal_record(
                             entry.label(),
                             start.elapsed().as_secs_f64() * 1e3,
-                            points[i].samples,
+                            points[i].0.samples,
                             entry.from_cache,
                             worker,
                             &scope.snapshot(),
@@ -847,11 +861,11 @@ fn result_list<'a>(doc: &'a Json, side: &str) -> Result<Vec<(String, &'a Json)>,
 /// One diff row: `[point, section, row, column, a, b, delta]`.
 type DiffRow = [Cell; 7];
 
-fn structural_diff(point: &str, section: &str, what: &str, a: Cell, b: Cell) -> DiffRow {
+fn structural_diff(point: &str, section: &str, row: &str, what: &str, a: Cell, b: Cell) -> DiffRow {
     [
         Cell::text(point),
         Cell::text(section),
-        Cell::text("-"),
+        Cell::text(row),
         Cell::text(what),
         a,
         b,
@@ -882,6 +896,7 @@ fn compare_reports(
         diffs.push(structural_diff(
             point,
             "-",
+            "-",
             "<notes>",
             Cell::text(notes(ra).join(" | ")),
             Cell::text(notes(rb).join(" | ")),
@@ -902,6 +917,7 @@ fn compare_reports(
             diffs.push(structural_diff(
                 point,
                 &nb,
+                "-",
                 "<section>",
                 Cell::text("missing"),
                 Cell::text("present"),
@@ -914,6 +930,7 @@ fn compare_reports(
             diffs.push(structural_diff(
                 point,
                 &name,
+                "-",
                 "<section>",
                 Cell::text("present"),
                 Cell::text("missing"),
@@ -949,6 +966,7 @@ fn compare_sections(
         diffs.push(structural_diff(
             point,
             section,
+            "-",
             "<columns>",
             Cell::text(cols_a.join(",")),
             Cell::text(strings(sb, "columns").join(",")),
@@ -962,6 +980,7 @@ fn compare_sections(
         diffs.push(structural_diff(
             point,
             section,
+            "-",
             "<rows>",
             Cell::int(rows_a.len() as i64),
             Cell::int(rows_b.len() as i64),
@@ -983,15 +1002,14 @@ fn compare_sections(
         let (cells_a, cells_b) = match (cells_a, cells_b) {
             (Some(a), Some(b)) if a.len() == b.len() => (a, b),
             _ => {
-                diffs.push([
-                    Cell::text(point),
-                    Cell::text(section),
-                    Cell::text(row_label),
-                    Cell::text("<cells>"),
+                diffs.push(structural_diff(
+                    point,
+                    section,
+                    &row_label,
+                    "<cells>",
                     Cell::text(format!("{row_a}")),
                     Cell::text(format!("{row_b}")),
-                    Cell::text("-"),
-                ]);
+                ));
                 continue;
             }
         };
@@ -1070,6 +1088,7 @@ pub fn compare_campaigns(
             diffs.push(structural_diff(
                 name,
                 "-",
+                "-",
                 "<point>",
                 Cell::text("present"),
                 Cell::text("missing"),
@@ -1080,6 +1099,7 @@ pub fn compare_campaigns(
         if !la.iter().any(|(n, _)| n == name) {
             diffs.push(structural_diff(
                 name,
+                "-",
                 "-",
                 "<point>",
                 Cell::text("missing"),

@@ -140,7 +140,17 @@ pub fn run_scenario_with_cache(
             message: "at least one sample required".to_string(),
         });
     }
-    let config = scenario.into_config()?;
+    run_compiled_scenario(scenario, &scenario.into_config()?, cache)
+}
+
+/// [`run_scenario_with_cache`] for a scenario already compiled to
+/// `config`: the campaign runner compiles every point once to validate
+/// it and hands that config here, so a job-log workload is scanned once.
+pub(crate) fn run_compiled_scenario(
+    scenario: &Scenario,
+    config: &SimConfig,
+    cache: &OpPointCache,
+) -> Result<Report, ScenarioError> {
     let command = if scenario.sweep.is_some() {
         "sweep"
     } else {
@@ -188,7 +198,7 @@ pub fn run_scenario_with_cache(
             sweep_section(&mut report, scenario, axis)?;
         }
         None => {
-            let results = cache.run_all(&config, &scenario.mc());
+            let results = cache.run_all(config, &scenario.mc());
             let metric = |f: fn(&SimResult) -> f64| -> Vec<f64> { results.iter().map(f).collect() };
             let waste = Candlestick::from_samples(&metric(|r| r.waste_ratio));
             report

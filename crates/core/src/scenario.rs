@@ -173,21 +173,17 @@ fn check_span_size(config: &SimConfig) -> Result<(), ScenarioError> {
         // The generator fills `span × slack`: when the span alone fits,
         // the slack is what overflows, so that is the field to blame.
         let slack = config.workload_slack.max(1.0);
-        let jobs =
-            WorkloadSpec::projected_jobs(&config.classes, &config.platform, config.span * slack);
-        if jobs > WorkloadSpec::MAX_JOBS as f64 {
-            return Err(ScenarioError::invalid(
-                "workload_slack",
-                format!(
-                    "slack {slack:e} stretches the {:e}-day span to {:e} days, which \
-                     needs ~{jobs:.2e} generated jobs, more than the {} limit; \
-                     lower the slack",
-                    config.span.as_days(),
-                    (config.span * slack).as_days(),
-                    WorkloadSpec::MAX_JOBS
-                ),
-            ));
-        }
+        check_job_limit(
+            &config.classes,
+            &config.platform,
+            config.span * slack,
+            "workload_slack",
+            &format!(
+                "slack {slack:e} stretches the {:e}-day span: ",
+                config.span.as_days()
+            ),
+            "lower the slack",
+        )?;
     }
     Ok(())
 }
@@ -199,13 +195,26 @@ pub fn check_generated_span(
     platform: &Platform,
     span: Duration,
 ) -> Result<(), ScenarioError> {
+    check_job_limit(classes, platform, span, "span_days", "", "shorten the span")
+}
+
+/// The job-limit rule behind [`check_generated_span`]: the error names
+/// `field`, opens with `context` and ends with `advice`.
+fn check_job_limit(
+    classes: &[AppClass],
+    platform: &Platform,
+    span: Duration,
+    field: &str,
+    context: &str,
+    advice: &str,
+) -> Result<(), ScenarioError> {
     let jobs = WorkloadSpec::projected_jobs(classes, platform, span);
     if jobs > WorkloadSpec::MAX_JOBS as f64 {
         return Err(ScenarioError::invalid(
-            "span_days",
+            field,
             format!(
-                "{:e} days need ~{jobs:.2e} generated jobs, more than the {} limit; \
-                 shorten the span",
+                "{context}{:e} days need ~{jobs:.2e} generated jobs, more than the {} limit; \
+                 {advice}",
                 span.as_days(),
                 WorkloadSpec::MAX_JOBS
             ),

@@ -434,17 +434,11 @@ pub fn init(journal: Option<&Path>) -> std::io::Result<()> {
 }
 
 /// Applies the `COOPCKPT_TELEMETRY` environment variable: unset or empty
-/// leaves telemetry off; `1`/`true` enables counters without a journal;
-/// anything else is the journal path.
+/// leaves telemetry off; anything else is the journal path.
 pub fn init_from_env() -> std::io::Result<()> {
     match std::env::var("COOPCKPT_TELEMETRY") {
-        Ok(v) if v.is_empty() => Ok(()),
-        Ok(v) if v == "1" || v == "true" => {
-            set_enabled(true);
-            Ok(())
-        }
-        Ok(v) => init(Some(Path::new(&v))),
-        Err(_) => Ok(()),
+        Ok(v) if !v.is_empty() => init(Some(Path::new(&v))),
+        _ => Ok(()),
     }
 }
 
